@@ -3,7 +3,8 @@
 // over a work-stealing thread pool (--jobs), and reduces the results
 // single-threaded in spec-key order — so stdout tables and the --json
 // goldens (BENCH_latency.json, BENCH_throughput.json, BENCH_faults.json,
-// BENCH_selfperf.json, BENCH_fairness.json, BENCH_resilience.json) are
+// BENCH_selfperf.json, BENCH_fairness.json, BENCH_resilience.json,
+// BENCH_region.json, BENCH_controlplane.json, BENCH_ops.json) are
 // byte-identical at any worker count.
 //
 // See EXPERIMENTS.md for the paper-figure -> command map.
@@ -49,8 +50,9 @@ Usage: bench_suite [flags]
                  report seed 1, so they are independent of K.
   --json         write BENCH_latency.json, BENCH_throughput.json,
                  BENCH_faults.json, BENCH_selfperf.json,
-                 BENCH_fairness.json, BENCH_resilience.json and
-                 BENCH_region.json (deterministic simulated values plus
+                 BENCH_fairness.json, BENCH_resilience.json,
+                 BENCH_region.json, BENCH_controlplane.json and
+                 BENCH_ops.json (deterministic simulated values plus
                  machine-dependent "wall." keys) into the current
                  directory.
   --filter STR   run only specs whose scenario/variant key contains STR
@@ -83,6 +85,11 @@ Scenarios (see EXPERIMENTS.md for the figure mapping):
                    latency under churn
   cert_rotation_wave  batched cert re-sign wave + epoch distribution of
                    the fresh certs, under load
+  ops_surge_scaling  Fig 16  noisy-neighbour surge handled by precise
+                   scaling (Reuse), sampled gateway
+  ops_daily        Fig 20  a day of live operations: RPS + error codes
+  ops_inphase      §6.3  in-phase services scattered by the pattern monitor
+  ops_health_checks  Tables 6/7  health-check probes and their aggregation
 )";
 
 struct SectionTarget {
@@ -132,6 +139,9 @@ SectionTarget section_target(const runner::RunSpec& spec) {
   if (spec.scenario == "cert_rotation_wave") {
     return {"BENCH_controlplane.json", "rotation." + spec.variant};
   }
+  if (spec.scenario.starts_with("ops_")) {
+    return {"BENCH_ops.json", spec.scenario.substr(4)};
+  }
   return {"BENCH_selfperf.json", spec.variant};
 }
 
@@ -148,6 +158,9 @@ const char* headline_metric(const std::string& scenario) {
   if (scenario == "region_scale") return "requests";
   if (scenario == "config_churn_storm") return "convergence_ms_max";
   if (scenario == "cert_rotation_wave") return "makespan_ms";
+  if (scenario == "ops_surge_scaling") return "alert_to_finish_s";
+  if (scenario == "ops_daily") return "scaling_events";
+  if (scenario == "ops_inphase") return "peak_after";
   return "ok_fault";
 }
 
@@ -162,15 +175,15 @@ void print_family_tables(const std::vector<runner::SweepGroup>& groups) {
   }
   for (const std::string& family : families) {
     const runner::SweepGroup* first = nullptr;
+    std::size_t variants = 0;
     // Columns are the union of the family's metric names in first-seen
     // order — variants may report extra components (e.g. canal's redirect
     // span), and every row must stay aligned to the header.
     std::vector<std::string> columns;
     for (const auto& group : groups) {
-      if (group.runs.front()->spec.scenario != family ||
-          group.base() == nullptr) {
-        continue;
-      }
+      if (group.runs.front()->spec.scenario != family) continue;
+      ++variants;
+      if (group.base() == nullptr) continue;
       if (first == nullptr) first = &group;
       for (const auto& [name, value] : group.base()->result.metrics) {
         (void)value;
@@ -182,24 +195,35 @@ void print_family_tables(const std::vector<runner::SweepGroup>& groups) {
     if (first == nullptr) continue;
 
     Table table(family);
-    std::vector<std::string> header = {"variant", "seeds"};
-    header.insert(header.end(), columns.begin(), columns.end());
-    table.header(header);
-    for (const auto& group : groups) {
-      if (group.runs.front()->spec.scenario != family) continue;
-      const runner::Outcome* base = group.base();
-      std::vector<std::string> row = {group.runs.front()->spec.variant,
-                                      std::to_string(group.runs.size())};
-      if (base == nullptr) {
-        row.push_back("FAILED: " + group.runs.front()->result.error);
-      } else {
-        for (const auto& column : columns) {
-          const double* value = base->result.find(column);
-          row.push_back(value == nullptr ? ""
-                                         : JsonReport::format_number(*value));
-        }
+    if (variants == 1) {
+      // One variant prints one metric per row: the ops_* families carry
+      // timelines of a hundred metrics, far too wide for a single row.
+      table.header({"metric", first->runs.front()->spec.variant});
+      table.row({"seeds", std::to_string(first->runs.size())});
+      for (const auto& [name, value] : first->base()->result.metrics) {
+        table.row({name, JsonReport::format_number(value)});
       }
-      table.row(row);
+    } else {
+      std::vector<std::string> header = {"variant", "seeds"};
+      header.insert(header.end(), columns.begin(), columns.end());
+      table.header(header);
+      for (const auto& group : groups) {
+        if (group.runs.front()->spec.scenario != family) continue;
+        const runner::Outcome* base = group.base();
+        std::vector<std::string> row = {group.runs.front()->spec.variant,
+                                        std::to_string(group.runs.size())};
+        if (base == nullptr) {
+          row.push_back("FAILED: " + group.runs.front()->result.error);
+        } else {
+          for (const auto& column : columns) {
+            const double* value = base->result.find(column);
+            row.push_back(value == nullptr
+                              ? ""
+                              : JsonReport::format_number(*value));
+          }
+        }
+        table.row(row);
+      }
     }
     table.print();
 

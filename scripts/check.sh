@@ -75,6 +75,18 @@ else
   cmake --build "${build_dir}" -j "${jobs}"
   ctest --test-dir "${build_dir}" -j "${jobs}" --output-on-failure
 
+  # Stable-test-identity gate: a parameterized test whose parameter type
+  # has no PrintTo gets gtest's raw byte dump in its ctest name, and those
+  # bytes (pointers, padding) change from build to build, so by-name test
+  # comparisons across builds break.
+  test_names="$(ctest --test-dir "${build_dir}" -N)"
+  if grep 'byte object' <<< "${test_names}" >&2; then
+    echo "test-identity gate FAILED: the ctest names above embed raw" \
+      "parameter bytes; give the parameter type a PrintTo" >&2
+    exit 1
+  fi
+  echo "test-identity gate OK: no ctest name embeds raw parameter bytes"
+
   # Determinism gate: a parallel (--jobs 8) and a serial (--jobs 1) suite
   # run must both reproduce every committed golden byte-for-byte. Keys
   # under the reserved "wall." prefix (selfperf's wall-clock readings:
@@ -83,7 +95,7 @@ else
   # the deterministic selfperf allocation counters — must match exactly.
   goldens=(BENCH_latency.json BENCH_throughput.json BENCH_faults.json
            BENCH_selfperf.json BENCH_fairness.json BENCH_resilience.json
-           BENCH_region.json BENCH_controlplane.json)
+           BENCH_region.json BENCH_controlplane.json BENCH_ops.json)
   for suite_jobs in 8 1; do
     scratch="$(mktemp -d)"
     (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
