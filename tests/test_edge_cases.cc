@@ -27,7 +27,7 @@ TEST(RateMeterEdge, IncrementalSumMatchesNaive) {
     const double w = rng.uniform(0.5, 3.0);
     meter.record(t, w);
     shadow.emplace_back(t, w);
-    while (!shadow.empty() && shadow.front().first < t - sim::kSecond) {
+    while (!shadow.empty() && shadow.front().first <= t - sim::kSecond) {
       shadow.pop_front();
     }
     if (i % 500 == 0) {
@@ -36,6 +36,15 @@ TEST(RateMeterEdge, IncrementalSumMatchesNaive) {
       EXPECT_NEAR(meter.rate(t), naive / 1.0, 1e-6);
     }
   }
+}
+
+TEST(RateMeterEdge, WindowExcludesItsStart) {
+  // One event per second over a 5 s window: at t = 10 s the window
+  // (5 s, 10 s] holds the events at 6..10 s, so the rate is exactly 1/s.
+  // A window closed at both ends would also count the event at 5 s.
+  sim::RateMeter meter(sim::seconds(5));
+  for (int s = 0; s <= 10; ++s) meter.record(sim::seconds(s));
+  EXPECT_EQ(meter.rate(sim::seconds(10)), 1.0);
 }
 
 TEST(RateMeterEdge, RateAfterLongIdleIsZero) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "canal/sharding.h"
 #include "crypto/handshake.h"
@@ -121,6 +123,12 @@ struct SplitCase {
   std::uint32_t canary;
 };
 
+// PrintTo and a name generator keep gtest's raw byte dump of the struct
+// out of the ctest names (ShardShape's includes padding bytes).
+void PrintTo(const SplitCase& c, std::ostream* os) {
+  *os << c.stable << ':' << c.canary;
+}
+
 class SplitSweep : public ::testing::TestWithParam<SplitCase> {};
 
 TEST_P(SplitSweep, FractionConvergesToWeights) {
@@ -152,7 +160,13 @@ INSTANTIATE_TEST_SUITE_P(Weights, SplitSweep,
                          ::testing::Values(SplitCase{99, 1}, SplitCase{95, 5},
                                            SplitCase{80, 20},
                                            SplitCase{50, 50},
-                                           SplitCase{1, 99}));
+                                           SplitCase{1, 99}),
+                         [](const auto& info) {
+                           return "stable" +
+                                  std::to_string(info.param.stable) +
+                                  "_canary" +
+                                  std::to_string(info.param.canary);
+                         });
 
 // ---- Shuffle sharding: isolation across pool shapes --------------------------
 
@@ -161,6 +175,10 @@ struct ShardShape {
   std::size_t shard;
   int services;
 };
+
+void PrintTo(const ShardShape& s, std::ostream* os) {
+  *os << '{' << s.pool << ", " << s.shard << ", " << s.services << '}';
+}
 
 class ShardSweep : public ::testing::TestWithParam<ShardShape> {};
 
@@ -187,7 +205,14 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ShardSweep,
                          ::testing::Values(ShardShape{8, 2, 20},
                                            ShardShape{12, 3, 60},
                                            ShardShape{20, 4, 150},
-                                           ShardShape{30, 3, 300}));
+                                           ShardShape{30, 3, 300}),
+                         [](const auto& info) {
+                           return "pool" + std::to_string(info.param.pool) +
+                                  "_shard" +
+                                  std::to_string(info.param.shard) +
+                                  "_svc" +
+                                  std::to_string(info.param.services);
+                         });
 
 // ---- Record channel: long streams stay consistent ----------------------------
 
