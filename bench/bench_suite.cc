@@ -161,6 +161,7 @@ const char* headline_metric(const std::string& scenario) {
   if (scenario == "ops_surge_scaling") return "alert_to_finish_s";
   if (scenario == "ops_daily") return "scaling_events";
   if (scenario == "ops_inphase") return "peak_after";
+  if (scenario == "ops_idle_expiry") return "gw_sessions_expired";
   return "ok_fault";
 }
 

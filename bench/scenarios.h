@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -1535,14 +1536,15 @@ inline runner::RunResult ops_surge_scaling(const runner::RunSpec& spec) {
   return result;
 }
 
-/// The hand-built world of ops_daily and ops_inphase: one gateway AZ of
-/// `backends`, one 8-core node, single-pod services "svc-<i>", canal
-/// installed. Each component takes its own RNG seed.
+/// The hand-built world of ops_daily, ops_inphase and ops_idle_expiry: one
+/// gateway AZ of `backends`, one 8-core node, single-pod services
+/// "svc-<i>", canal installed. Each component takes its own RNG seed.
 struct OpsWorld {
   OpsWorld(std::size_t backends, int service_count,
            std::uint64_t gateway_seed, std::uint64_t cluster_seed,
-           std::uint64_t canal_seed)
-      : gateway(loop, core::GatewayConfig{}, sim::Rng(gateway_seed)),
+           std::uint64_t canal_seed,
+           const core::GatewayConfig& gateway_config = {})
+      : gateway(loop, gateway_config, sim::Rng(gateway_seed)),
         cluster(loop, static_cast<net::TenantId>(1), sim::Rng(cluster_seed)) {
     gateway.add_az(backends);
     cluster.add_node(static_cast<net::AzId>(0), 8);
@@ -1741,6 +1743,102 @@ inline runner::RunResult ops_inphase(const runner::RunSpec& spec) {
   return result;
 }
 
+// ops_idle_expiry — §6.2's session idle timeout on a sampled gateway: a
+// 4-backend gateway with a 30 s idle timeout and 1 s sampling, for 5
+// simulated minutes. Pinned flows straddle the timeout. Each service's
+// pod sends to the next service on two 20 s flows, which keep one
+// connection open and never idle out, and on two 40 s flows, which reopen
+// their connection on every send and leave it idle, so the sweep expires
+// each of their sessions ~31 s later. Sends start off the 1 s tick grid,
+// so the end-of-run reads follow the final tick with nothing changed
+// since. Metrics: sessions expired, the gateway fastpath hits/misses, live
+// sessions and the per-service long-session gauge (sessions older than a
+// minute) at the end, request statuses and mean latency.
+
+inline runner::RunResult ops_idle_expiry(const runner::RunSpec& spec) {
+  const std::uint64_t seed = 900 + spec.seed;
+  core::GatewayConfig config;
+  config.session_idle_timeout = sim::seconds(30);
+  OpsWorld world(4, 4, seed, seed + 2, seed + 4, config);
+  core::MeshGateway& gateway = world.gateway;
+  const std::vector<k8s::Service*>& services = world.services;
+  for (auto* backend : gateway.all_backends()) {
+    backend->start_sampling(sim::seconds(1));
+  }
+
+  const sim::TimePoint end = sim::minutes(5);
+  std::map<int, std::uint64_t> statuses;
+  std::uint64_t requests = 0;
+  sim::Duration latency_sum = 0;
+  std::uint16_t port = 20'000;
+  for (std::size_t i = 0; i < services.size(); ++i) {
+    for (const sim::Duration period : {sim::seconds(20), sim::seconds(40)}) {
+      for (int flow = 0; flow < 2; ++flow, ++port) {
+        mesh::RequestOptions opts;
+        opts.client = services[i]->endpoints.front();
+        opts.dst_service = services[(i + 1) % services.size()]->id;
+        opts.path = "/api/items";
+        opts.src_port = port;
+        opts.close_after = false;
+        const bool reconnect = period > config.session_idle_timeout;
+        const sim::TimePoint start =
+            sim::milliseconds(250) + (port - 20'000) * sim::milliseconds(1100);
+        for (sim::TimePoint at = start; at + sim::seconds(5) < end;
+             at += period) {
+          opts.new_connection = reconnect || at == start;
+          world.loop.post_at(at, [&, opts] {
+            world.canal->send_request(opts, [&](mesh::RequestResult r) {
+              ++requests;
+              ++statuses[r.status];
+              latency_sum += r.latency;
+            });
+          });
+        }
+      }
+    }
+  }
+  world.loop.run_until(end);
+
+  runner::RunResult result;
+  result.set("requests", static_cast<double>(requests));
+  for (const auto& [status, count] : statuses) {
+    result.set("status_" + std::to_string(status),
+               static_cast<double>(count));
+  }
+  result.set("mean_latency_ms",
+             requests == 0 ? 0.0
+                           : sim::to_milliseconds(latency_sum) /
+                                 static_cast<double>(requests));
+  std::uint64_t expired = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t live_sessions = 0;
+  for (auto* backend : gateway.all_backends()) {
+    expired += backend->sessions_expired();
+    hits += backend->fastpath_hits();
+    misses += backend->fastpath_misses();
+    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+      live_sessions += backend->replica(r)->engine().sessions().size();
+    }
+  }
+  result.set("gw_sessions_expired", static_cast<double>(expired));
+  result.set("gw_fastpath_hits", static_cast<double>(hits));
+  result.set("gw_fastpath_misses", static_cast<double>(misses));
+  result.set("gw_sessions_live", static_cast<double>(live_sessions));
+  for (std::size_t s = 0; s < services.size(); ++s) {
+    std::uint64_t long_sessions = 0;
+    for (auto* backend : gateway.all_backends()) {
+      const auto& stats = backend->service_stats();
+      const auto it = stats.find(services[s]->id);
+      if (it != stats.end()) long_sessions += it->second->long_sessions();
+    }
+    result.set(row_prefix("svc", s) + "long_sessions",
+               static_cast<double>(long_sessions));
+  }
+  for (auto* backend : gateway.all_backends()) backend->stop_sampling();
+  return result;
+}
+
 // ops_health_checks — Tables 6/7: health-check probes against app traffic
 // at the consolidated gateway before aggregation (up to 515x), and the
 // step-by-step reduction through service-, core- and replica-level
@@ -1828,6 +1926,7 @@ inline void register_bench_scenarios(runner::Runner& runner) {
   runner.register_scenario("ops_surge_scaling", scenarios::ops_surge_scaling);
   runner.register_scenario("ops_daily", scenarios::ops_daily);
   runner.register_scenario("ops_inphase", scenarios::ops_inphase);
+  runner.register_scenario("ops_idle_expiry", scenarios::ops_idle_expiry);
   runner.register_scenario("ops_health_checks", scenarios::ops_health_checks);
 }
 
@@ -1890,6 +1989,7 @@ inline std::vector<runner::RunSpec> suite_specs(std::uint64_t seeds) {
   add("ops_surge_scaling", "canal");
   add("ops_daily", "canal");
   add("ops_inphase", "canal");
+  add("ops_idle_expiry", "canal");
   // Pure arithmetic over fixed topologies: no RNG, so one run.
   specs.push_back(runner::RunSpec{"ops_health_checks", "canal", 1, {}});
   return specs;

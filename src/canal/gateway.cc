@@ -466,6 +466,7 @@ void GatewayBackend::start_sampling(sim::Duration period) {
       expired += replica->engine().sessions().expire_idle(
           loop_.now(), config_.session_idle_timeout);
     }
+    sessions_expired_ += expired;
     if (expired > 0) ++flow_epoch_;  // idle expiry invalidates cached flows
     // Refresh the long-lived-session gauge (input to §6.3's migration
     // selection: services with fewer long sessions migrate faster).

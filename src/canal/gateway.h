@@ -250,6 +250,11 @@ class GatewayBackend {
   [[nodiscard]] std::uint64_t fastpath_misses() const noexcept {
     return fastpath_misses_;
   }
+  /// Sessions the sampling tick has dropped for idling past
+  /// GatewayConfig::session_idle_timeout, summed over replicas.
+  [[nodiscard]] std::uint64_t sessions_expired() const noexcept {
+    return sessions_expired_;
+  }
 
   /// Resets every session belonging to `service` (lossy migration).
   std::size_t reset_service_sessions(net::ServiceId service);
@@ -334,6 +339,7 @@ class GatewayBackend {
   std::uint64_t flow_epoch_ = 0;
   std::uint64_t fastpath_hits_ = 0;
   std::uint64_t fastpath_misses_ = 0;
+  std::uint64_t sessions_expired_ = 0;
 };
 
 /// The region-level gateway: backends across AZs + placement + DNS.
