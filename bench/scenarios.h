@@ -1407,8 +1407,8 @@ inline void scaling_event_metrics(runner::RunResult& out,
 // their latency and errors through the incident; a 90 s tail of probes on
 // one established connection follows. Metrics: the 10 s incident timeline
 // `t<s>.*`, victim errors and scaling decisions, then the gateway state
-// the sampling tick keeps after the tail (fastpath hits/misses, live
-// sessions, per-service long-session gauge).
+// after the tail (fastpath hits/misses, live sessions, per-service
+// long-session gauge).
 
 inline runner::RunResult ops_surge_scaling(const runner::RunSpec& spec) {
   Testbed::Options options;
@@ -1524,11 +1524,9 @@ inline runner::RunResult ops_surge_scaling(const runner::RunSpec& spec) {
   result.set("gw_fastpath_misses", static_cast<double>(misses));
   result.set("gw_sessions_live", static_cast<double>(live_sessions));
   for (std::size_t s = 0; s < bed.services.size(); ++s) {
-    std::uint64_t long_sessions = 0;
+    std::size_t long_sessions = 0;
     for (auto* backend : bed.gateway->all_backends()) {
-      const auto& stats = backend->service_stats();
-      const auto it = stats.find(bed.services[s]->id);
-      if (it != stats.end()) long_sessions += it->second->long_sessions();
+      long_sessions += backend->long_sessions(bed.services[s]->id);
     }
     result.set(row_prefix("svc", s) + "long_sessions",
                static_cast<double>(long_sessions));
@@ -1747,13 +1745,12 @@ inline runner::RunResult ops_inphase(const runner::RunSpec& spec) {
 // 4-backend gateway with a 30 s idle timeout and 1 s sampling, for 5
 // simulated minutes. Pinned flows straddle the timeout. Each service's
 // pod sends to the next service on two 20 s flows, which keep one
-// connection open and never idle out, and on two 40 s flows, which reopen
-// their connection on every send and leave it idle, so the sweep expires
-// each of their sessions ~31 s later. Sends start off the 1 s tick grid,
-// so the end-of-run reads follow the final tick with nothing changed
-// since. Metrics: sessions expired, the gateway fastpath hits/misses, live
-// sessions and the per-service long-session gauge (sessions older than a
-// minute) at the end, request statuses and mean latency.
+// connection open and send well within the timeout, and on two 40 s
+// flows, which reopen their connection on every send and leave it idle,
+// so the sweep expires each of their sessions ~31 s later. Metrics:
+// sessions expired, the gateway fastpath hits/misses, live sessions and
+// the per-service long-session gauge (sessions older than a minute) at
+// the end, request statuses and mean latency.
 
 inline runner::RunResult ops_idle_expiry(const runner::RunSpec& spec) {
   const std::uint64_t seed = 900 + spec.seed;
@@ -1826,11 +1823,9 @@ inline runner::RunResult ops_idle_expiry(const runner::RunSpec& spec) {
   result.set("gw_fastpath_misses", static_cast<double>(misses));
   result.set("gw_sessions_live", static_cast<double>(live_sessions));
   for (std::size_t s = 0; s < services.size(); ++s) {
-    std::uint64_t long_sessions = 0;
+    std::size_t long_sessions = 0;
     for (auto* backend : gateway.all_backends()) {
-      const auto& stats = backend->service_stats();
-      const auto it = stats.find(services[s]->id);
-      if (it != stats.end()) long_sessions += it->second->long_sessions();
+      long_sessions += backend->long_sessions(services[s]->id);
     }
     result.set(row_prefix("svc", s) + "long_sessions",
                static_cast<double>(long_sessions));

@@ -434,10 +434,11 @@ double GatewayBackend::cpu_utilization(sim::Duration window) const {
 double GatewayBackend::session_occupancy() const {
   std::size_t used = 0;
   std::size_t capacity = 0;
-  for (const auto& r : replicas_) {
-    if (!r->alive()) continue;
-    used += const_cast<GatewayReplica&>(*r).engine().sessions().size();
-    capacity += const_cast<GatewayReplica&>(*r).engine().sessions().capacity();
+  for (const auto& replica : replicas_) {
+    const GatewayReplica& r = *replica;
+    if (!r.alive()) continue;
+    used += r.engine().sessions().size();
+    capacity += r.engine().sessions().capacity();
   }
   return capacity == 0 ? 0.0
                        : static_cast<double>(used) /
@@ -461,22 +462,11 @@ telemetry::BackendSnapshot GatewayBackend::snapshot(sim::Duration window) {
 void GatewayBackend::start_sampling(sim::Duration period) {
   sampler_ = std::make_unique<sim::PeriodicTimer>(loop_, period, [this] {
     util_history_.record(loop_.now(), cpu_utilization(sim::seconds(5)));
-    std::size_t expired = 0;
+    // The flow cache survives expiry: it memoizes only single-link chains,
+    // whose decision does not depend on which replica holds a session.
     for (auto& replica : replicas_) {
-      expired += replica->engine().sessions().expire_idle(
+      sessions_expired_ += replica->engine().sessions().expire_idle(
           loop_.now(), config_.session_idle_timeout);
-    }
-    sessions_expired_ += expired;
-    if (expired > 0) ++flow_epoch_;  // idle expiry invalidates cached flows
-    // Refresh the long-lived-session gauge (input to §6.3's migration
-    // selection: services with fewer long sessions migrate faster).
-    for (auto& [service, stats] : stats_) {
-      std::size_t long_sessions = 0;
-      for (auto& replica : replicas_) {
-        long_sessions += replica->engine().sessions().count_older_than(
-            service, loop_.now(), sim::minutes(1));
-      }
-      stats->set_long_sessions(long_sessions);
     }
   });
   sampler_->start(period);
@@ -534,10 +524,18 @@ std::size_t GatewayBackend::reset_service_sessions(net::ServiceId service) {
 std::size_t GatewayBackend::sessions_for(net::ServiceId service) const {
   std::size_t total = 0;
   for (const auto& replica : replicas_) {
-    total += const_cast<GatewayReplica&>(*replica)
-                 .engine()
-                 .sessions()
-                 .count_for(service);
+    const GatewayReplica& r = *replica;
+    total += r.engine().sessions().count_for(service);
+  }
+  return total;
+}
+
+std::size_t GatewayBackend::long_sessions(net::ServiceId service) const {
+  std::size_t total = 0;
+  for (const auto& replica : replicas_) {
+    const GatewayReplica& r = *replica;
+    total += r.engine().sessions().count_older_than(service, loop_.now(),
+                                                    sim::minutes(1));
   }
   return total;
 }
@@ -760,16 +758,17 @@ GatewayBackend* MeshGateway::resolve(net::ServiceId service,
   const auto it = placements_.find(service);
   if (it == placements_.end()) return nullptr;
   GatewayBackend* local_best = nullptr;
+  double local_best_utilization = 0.0;
   GatewayBackend* remote_best = nullptr;
   for (const auto backend_id : it->second) {
     GatewayBackend* backend = find_backend(backend_id);
     if (backend == nullptr || !backend->alive()) continue;
     if (backend->az() == client_az) {
       // Lowest water level among healthy local backends.
-      if (local_best == nullptr ||
-          backend->cpu_utilization(sim::seconds(5)) <
-              local_best->cpu_utilization(sim::seconds(5))) {
+      const double utilization = backend->cpu_utilization(sim::seconds(5));
+      if (local_best == nullptr || utilization < local_best_utilization) {
         local_best = backend;
+        local_best_utilization = utilization;
       }
     } else if (remote_best == nullptr) {
       remote_best = backend;
@@ -848,10 +847,7 @@ double MeshGateway::total_cpu_core_seconds() const {
   for (const auto& az : azs_) {
     for (const auto& backend : az.backends) {
       for (std::size_t i = 0; i < backend->replica_count(); ++i) {
-        total += const_cast<GatewayBackend&>(*backend)
-                     .replica(i)
-                     ->cpu()
-                     .total_busy_core_seconds();
+        total += backend->replica(i)->cpu().total_busy_core_seconds();
       }
     }
   }

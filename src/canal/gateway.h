@@ -84,6 +84,9 @@ class GatewayReplica {
   void set_alive(bool alive) noexcept { alive_ = alive; }
 
   [[nodiscard]] proxy::ProxyEngine& engine() noexcept { return *engine_; }
+  [[nodiscard]] const proxy::ProxyEngine& engine() const noexcept {
+    return *engine_;
+  }
   [[nodiscard]] sim::CpuSet& cpu() noexcept { return cpu_; }
   [[nodiscard]] const sim::CpuSet& cpu() const noexcept { return cpu_; }
 
@@ -219,7 +222,9 @@ class GatewayBackend {
   [[nodiscard]] const telemetry::MetricsRegistry& metrics() const noexcept {
     return registry_;
   }
-  /// Starts periodic water-level sampling (also expires idle sessions).
+  /// Starts periodic water-level sampling. Each tick also expires sessions
+  /// idle past GatewayConfig::session_idle_timeout; a replica's sweep
+  /// scans its table only when some session may have idled that long.
   void start_sampling(sim::Duration period);
   void stop_sampling();
 
@@ -260,6 +265,10 @@ class GatewayBackend {
   std::size_t reset_service_sessions(net::ServiceId service);
   /// Sessions currently held for `service` across replicas.
   [[nodiscard]] std::size_t sessions_for(net::ServiceId service) const;
+  /// Sessions of `service` established more than a minute ago, across
+  /// replicas: the long-lasting sessions §6.3's migration selection
+  /// avoids. Counted when called, so exact whether or not sampling runs.
+  [[nodiscard]] std::size_t long_sessions(net::ServiceId service) const;
 
   [[nodiscard]] const lb::BucketTable* bucket_table(
       net::ServiceId service) const;
@@ -272,7 +281,8 @@ class GatewayBackend {
   /// holds session state, so a hit replays exactly what the chain walk
   /// would compute now. Every replica/ECMP/bucket/service mutation and
   /// session reset bumps flow_epoch_, invalidating all entries; replica
-  /// liveness is still re-checked per hit. Entries live in a direct-mapped
+  /// liveness is still re-checked per hit. Idle expiry does not bump it:
+  /// only session state changes, which a single-link decision ignores. Entries live in a direct-mapped
   /// slot array — insertion is allocation-free, and a colliding flow just
   /// evicts (the evicted flow takes the slow path: a miss, never a
   /// behaviour change).

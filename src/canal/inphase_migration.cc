@@ -41,26 +41,37 @@ std::vector<net::ServiceId> InPhaseMigrationPlanner::select_services(
   // Rank by recent RPS (carry-forward from the sampled history — bursty
   // aggregate workloads leave the instantaneous meters empty between
   // ticks), weighting HTTPS 3x (paper: ~3x resource cost per request).
-  auto weighted = [&](net::ServiceId id) {
+  // Both keys are computed once per candidate: the long-session gauge
+  // scans every replica's session table.
+  struct Ranked {
+    net::ServiceId id;
+    double weighted_rps;
+    std::size_t long_sessions;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(candidates.size());
+  for (const net::ServiceId id : candidates) {
     auto& stats = backend.stats_for(id);
     const double rps =
         stats.rps_history().value_at(now).value_or(stats.rps(now));
     const double https = std::min(rps, stats.https_rate(now));
-    return rps + (config_.https_weight - 1.0) * https;
-  };
-  std::sort(candidates.begin(), candidates.end(),
-            [&](net::ServiceId lhs, net::ServiceId rhs) {
-              auto& ls = backend.stats_for(lhs);
-              auto& rs = backend.stats_for(rhs);
-              const double lw = weighted(lhs);
-              const double rw = weighted(rhs);
-              if (lw != rw) return lw > rw;
-              // Fewer long-lasting sessions migrate faster.
-              if (ls.long_sessions() != rs.long_sessions()) {
-                return ls.long_sessions() < rs.long_sessions();
+    ranked.push_back({id, rps + (config_.https_weight - 1.0) * https,
+                      backend.long_sessions(id)});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& lhs, const Ranked& rhs) {
+              if (lhs.weighted_rps != rhs.weighted_rps) {
+                return lhs.weighted_rps > rhs.weighted_rps;
               }
-              return net::id_value(lhs) < net::id_value(rhs);
+              // Fewer long-lasting sessions migrate faster.
+              if (lhs.long_sessions != rhs.long_sessions) {
+                return lhs.long_sessions < rhs.long_sessions;
+              }
+              return net::id_value(lhs.id) < net::id_value(rhs.id);
             });
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    candidates[i] = ranked[i].id;
+  }
   return candidates;
 }
 

@@ -68,6 +68,9 @@ class ProxyEngine {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] ClusterManager& clusters() noexcept { return clusters_; }
   [[nodiscard]] SessionTable& sessions() noexcept { return sessions_; }
+  [[nodiscard]] const SessionTable& sessions() const noexcept {
+    return sessions_;
+  }
   [[nodiscard]] sim::CpuSet& cpu() noexcept { return cpu_; }
 
   /// Installs the per-service virtual-host route table.

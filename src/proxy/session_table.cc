@@ -1,5 +1,7 @@
 #include "proxy/session_table.h"
 
+#include <algorithm>
+
 namespace canal::proxy {
 
 bool SessionTable::insert(const net::FiveTuple& tuple, net::ServiceId service,
@@ -9,6 +11,7 @@ bool SessionTable::insert(const net::FiveTuple& tuple, net::ServiceId service,
     return false;
   }
   sessions_[tuple] = Session{tuple, service, now, now};
+  idle_floor_ = std::min(idle_floor_, now);
   return true;
 }
 
@@ -32,15 +35,21 @@ bool SessionTable::remove(const net::FiveTuple& tuple) {
 
 std::size_t SessionTable::expire_idle(sim::TimePoint now,
                                       sim::Duration idle_timeout) {
+  // Every session is at most now - idle_floor_ idle: none can expire.
+  if (now - idle_floor_ <= idle_timeout) return 0;
   std::size_t dropped = 0;
+  sim::TimePoint floor = std::numeric_limits<sim::TimePoint>::max();
   // Tombstoned erase never moves other slots, so erasing the current
   // position and then advancing is safe.
   for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
     if (now - it->second.last_active > idle_timeout) {
       sessions_.erase(it);
       ++dropped;
+    } else {
+      floor = std::min(floor, it->second.last_active);
     }
   }
+  idle_floor_ = floor;
   if (dropped > 0) ++drop_epoch_;
   return dropped;
 }
@@ -48,6 +57,7 @@ std::size_t SessionTable::expire_idle(sim::TimePoint now,
 std::size_t SessionTable::clear() noexcept {
   const std::size_t n = sessions_.size();
   sessions_.clear();
+  idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
   if (n > 0) ++drop_epoch_;
   return n;
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "net/flow.h"
 #include "net/ids.h"
@@ -38,6 +39,8 @@ class SessionTable {
   bool remove(const net::FiveTuple& tuple);
 
   /// Drops sessions idle longer than `idle_timeout`; returns count dropped.
+  /// Skips the scan while the idle floor shows no session can be that
+  /// idle, so a sweep that drops nothing usually costs O(1).
   std::size_t expire_idle(sim::TimePoint now, sim::Duration idle_timeout);
 
   /// Drops every session (lossy migration resets all state).
@@ -83,6 +86,12 @@ class SessionTable {
   sim::FlatHashMap<net::FiveTuple, Session> sessions_;
   std::uint64_t rejected_ = 0;
   std::uint64_t drop_epoch_ = 0;
+  /// Lower bound on every live session's last_active; the largest
+  /// TimePoint while the table is known to be empty. insert lowers it;
+  /// touch only raises last_active, because simulated time never runs
+  /// backwards; removes leave it a valid, if stale, bound. An expiry scan
+  /// resets it to the oldest survivor.
+  sim::TimePoint idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
 };
 
 }  // namespace canal::proxy

@@ -47,7 +47,6 @@ class ServiceStats {
     if (https_count > 0) https_requests_.record(now, https_count);
     history_.record(now, count / std::max(1e-9, sim::to_seconds(span)));
   }
-  void set_long_sessions(std::uint64_t n) { long_sessions_ = n; }
 
   [[nodiscard]] double rps(sim::TimePoint now) const { return rps_.rate(now); }
   [[nodiscard]] double new_session_rate(sim::TimePoint now) const {
@@ -58,9 +57,6 @@ class ServiceStats {
   }
   [[nodiscard]] std::uint64_t total_requests() const noexcept {
     return rps_.total();
-  }
-  [[nodiscard]] std::uint64_t long_sessions() const noexcept {
-    return long_sessions_;
   }
   [[nodiscard]] const sim::TimeSeries& rps_history() const noexcept {
     return history_;
@@ -73,7 +69,6 @@ class ServiceStats {
   sim::RateMeter rps_;
   sim::RateMeter new_sessions_;
   sim::RateMeter https_requests_;
-  std::uint64_t long_sessions_ = 0;
 };
 
 /// Point-in-time view of one backend used by classifiers and scalers.

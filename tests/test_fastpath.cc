@@ -2,7 +2,8 @@
 // selection must hit on repeated traffic from an established flow and must
 // miss (re-deriving the decision on the slow path) after every event that
 // could change the decision: an endpoint diff, a route-config install, a
-// session drop/reset, and gateway-side topology or session changes. A hit
+// session drop/reset, and gateway-side topology changes or session resets.
+// Gateway idle expiry changes no memoized decision and keeps them. A hit
 // must never change simulated behaviour — only skip wall-clock work — so
 // each test also checks the served result stays consistent.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "canal/canal_mesh.h"
 #include "canal/gateway.h"
@@ -345,22 +347,50 @@ TEST(FastpathGateway, ResetServiceSessionsInvalidates) {
   EXPECT_EQ(bed.total_misses(), misses_before + 1);
 }
 
-TEST(FastpathGateway, IdleExpiryInvalidates) {
+TEST(FastpathGateway, IdleExpiryKeepsFlowDecision) {
   CanalBed bed(/*idle_timeout=*/sim::seconds(1));
-  bed.run_one(bed.pinned_request(/*first=*/true));
-  bed.run_one(bed.pinned_request(/*first=*/false));
-  EXPECT_GT(bed.total_hits(), 0u);
-  // Let the session sampler observe the flow as idle past the timeout.
-  for (auto* backend : bed.gateway->all_backends()) {
-    backend->start_sampling(sim::seconds(1));
-  }
+  const net::ServiceId service = bed.backend_svc->id;
+  core::GatewayBackend& backend =
+      *bed.gateway->placement_of(service).front();
+  const net::FiveTuple tuple{net::Ipv4Addr(10, 7, 1, 1),
+                             mesh::service_vip(service), 9999, 443,
+                             net::Protocol::kTcp};
+  const lb::BucketTable* table = backend.bucket_table(service);
+  ASSERT_NE(table, nullptr);
+  const std::vector<net::ReplicaId>& chain =
+      table->chain(table->bucket_for(tuple));
+  ASSERT_EQ(chain.size(), 1u);  // only single-link decisions are memoized
+  const net::ReplicaId head = chain.front();
+
+  http::Request req;
+  req.path = "/api";
+  const auto send = [&](bool new_connection) {
+    std::optional<core::GatewayOutcome> outcome;
+    backend.handle_request(tuple, service, new_connection, /*https=*/false,
+                           req, [&](core::GatewayOutcome o) { outcome = o; });
+    bed.loop.run();
+    EXPECT_TRUE(outcome.has_value());
+    return outcome.value_or(core::GatewayOutcome{});
+  };
+  EXPECT_EQ(send(/*new_connection=*/true).status, 200);
+  EXPECT_EQ(send(/*new_connection=*/false).status, 200);
+  EXPECT_EQ(backend.fastpath_hits(), 1u);
+  ASSERT_EQ(backend.sessions_for(service), 1u);
+
+  // Let the session sampler expire the flow's session as idle.
+  backend.start_sampling(sim::seconds(1));
   bed.loop.run_until(bed.loop.now() + sim::seconds(5));
-  for (auto* backend : bed.gateway->all_backends()) {
-    backend->stop_sampling();
-  }
-  const std::uint64_t misses_before = bed.total_misses();
-  EXPECT_EQ(bed.run_one(bed.pinned_request(/*first=*/true)).status, 200);
-  EXPECT_EQ(bed.total_misses(), misses_before + 1);
+  backend.stop_sampling();
+  ASSERT_EQ(backend.sessions_for(service), 0u);
+  EXPECT_EQ(backend.sessions_expired(), 1u);
+
+  // Expiry changes no single-link decision, so the memo still serves it.
+  const std::uint64_t hits_before = backend.fastpath_hits();
+  const core::GatewayOutcome after = send(/*new_connection=*/false);
+  EXPECT_EQ(after.status, 200);
+  EXPECT_EQ(backend.fastpath_hits(), hits_before + 1);
+  ASSERT_NE(after.replica, nullptr);
+  EXPECT_EQ(after.replica->id(), head);
 }
 
 }  // namespace
