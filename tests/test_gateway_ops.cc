@@ -1,7 +1,8 @@
 // Operational-surface tests for the gateway: graceful replica drains with
 // live traffic, migration controllers under edge conditions, anomaly
-// responder dispatch paths, HWHM target selection at unit level, and the
-// controller/southbound interplay under constrained bandwidth.
+// responder dispatch paths, HWHM target selection and the long-session
+// tie-break at unit level, and the controller/southbound interplay under
+// constrained bandwidth.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -214,6 +215,51 @@ TEST(HwhmSelection, PrefersComplementaryBackend) {
   ASSERT_NE(target, nullptr);
   EXPECT_EQ(target, anti_phase_candidate)
       << "selected backend " << net::id_value(target->id());
+}
+
+TEST(InPhaseSelection, LongSessionGaugeIsExactWithSamplingOff) {
+  OpsWorld world;
+  k8s::Service& batch = world.cluster.add_service("batch");
+  world.mesh->install();
+  GatewayBackend* backend = world.gateway.placement_of(world.api->id).front();
+  world.gateway.extend_service(batch.id, *backend);
+  // The lower id holds more long-lived sessions, so ranking by the gauge
+  // and ranking by id disagree.
+  const bool api_first =
+      net::id_value(world.api->id) < net::id_value(batch.id);
+  const net::ServiceId more = api_first ? world.api->id : batch.id;
+  const net::ServiceId fewer = api_first ? batch.id : world.api->id;
+  const auto tuple_of = [](std::uint16_t port) {
+    return net::FiveTuple{net::Ipv4Addr(10, 9, 0, 1),
+                          net::Ipv4Addr(10, 9, 1, 1), port, 443,
+                          net::Protocol::kTcp};
+  };
+  proxy::SessionTable& first = backend->replica(0)->engine().sessions();
+  proxy::SessionTable& second = backend->replica(1)->engine().sessions();
+  ASSERT_TRUE(first.insert(tuple_of(1), more, world.loop.now()));
+  ASSERT_TRUE(second.insert(tuple_of(2), more, world.loop.now()));
+  ASSERT_TRUE(first.insert(tuple_of(3), fewer, world.loop.now()));
+  world.loop.run_until(world.loop.now() + sim::minutes(2));
+  ASSERT_TRUE(second.insert(tuple_of(4), fewer, world.loop.now()));
+
+  for (const net::ServiceId service : {more, fewer}) {
+    std::size_t summed = 0;
+    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+      summed += backend->replica(r)->engine().sessions().count_older_than(
+          service, world.loop.now(), sim::minutes(1));
+    }
+    EXPECT_EQ(backend->long_sessions(service), summed);
+  }
+  EXPECT_EQ(backend->long_sessions(more), 2u);
+  EXPECT_EQ(backend->long_sessions(fewer), 1u);  // the young one is not
+
+  // No traffic: equal (zero) weighted RPS, so the gauge breaks the tie.
+  InPhaseMigrationPlanner planner;
+  const auto ranked =
+      planner.select_services(*backend, {{more, fewer}}, world.loop.now());
+  ASSERT_EQ(ranked.size(), 2u);
+  EXPECT_EQ(ranked.front(), fewer);
+  EXPECT_EQ(ranked.back(), more);
 }
 
 TEST(ControllerOps, ConstrainedSouthbandSerializesPushes) {

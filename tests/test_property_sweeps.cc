@@ -1,11 +1,13 @@
 // Heavier parameterized property sweeps across modules: handshake
 // correctness over random seeds, HTTP parser round-trip fuzzing with
 // deterministic request generators, route-table weighted-split accuracy
-// across weight mixes, shuffle-shard isolation across pool shapes, and
-// record-channel stream properties.
+// across weight mixes, shuffle-shard isolation across pool shapes,
+// session-table expiry against a naive reference, and record-channel
+// stream properties.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <ostream>
 #include <string>
 
@@ -13,6 +15,7 @@
 #include "crypto/handshake.h"
 #include "http/parser.h"
 #include "http/route.h"
+#include "proxy/session_table.h"
 #include "sim/rng.h"
 #include "tests/testutil.h"
 
@@ -213,6 +216,115 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ShardSweep,
                                   "_svc" +
                                   std::to_string(info.param.services);
                          });
+
+// ---- Session table: idle-floor expiry matches a naive scan -----------------
+
+// Random interleavings of every mutating call, with time moving forward
+// (sometimes not at all) and the idle timeout varying per sweep, checked
+// after each step against a reference that rescans a plain map. The idle
+// floor may skip an expiry scan only when the scan would drop nothing.
+class SessionTableSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SessionTableSweep, ExpiryMatchesNaiveScan) {
+  struct Ref {
+    net::ServiceId service;
+    sim::TimePoint created;
+    sim::TimePoint last_active;
+  };
+  constexpr std::size_t kCapacity = 12;
+  constexpr std::int64_t kPorts = 16;  // more flows than slots: rejections
+  const auto tuple_of = [](std::int64_t port) {
+    return net::FiveTuple{net::Ipv4Addr(10, 0, 0, 1),
+                          net::Ipv4Addr(10, 0, 1, 1),
+                          static_cast<std::uint16_t>(1000 + port), 443,
+                          net::Protocol::kTcp};
+  };
+  sim::Rng rng(GetParam());
+  proxy::SessionTable table(kCapacity);
+  std::map<std::int64_t, Ref> ref;
+  std::uint64_t ref_epoch = 0;
+  sim::TimePoint now = 0;
+  for (int step = 0; step < 3000; ++step) {
+    now += sim::seconds(static_cast<double>(rng.uniform_int(0, 4)));
+    const std::int64_t port = rng.uniform_int(0, kPorts - 1);
+    const auto service =
+        static_cast<net::ServiceId>(rng.uniform_int(1, 3));
+    switch (rng.uniform_int(0, 6)) {
+      case 0:
+      case 1: {
+        const bool ok = ref.size() < kCapacity;
+        if (ok) ref[port] = Ref{service, now, now};
+        ASSERT_EQ(table.insert(tuple_of(port), service, now), ok) << step;
+        break;
+      }
+      case 2: {
+        const auto it = ref.find(port);
+        if (it != ref.end()) it->second.last_active = now;
+        const proxy::Session* touched = table.touch(tuple_of(port), now);
+        ASSERT_EQ(touched != nullptr, it != ref.end()) << step;
+        break;
+      }
+      case 3: {
+        const bool erased = ref.erase(port) > 0;
+        if (erased) ++ref_epoch;
+        ASSERT_EQ(table.remove(tuple_of(port)), erased) << step;
+        break;
+      }
+      case 4: {
+        std::size_t dropped = 0;
+        for (auto it = ref.begin(); it != ref.end();) {
+          if (it->second.service == service) {
+            it = ref.erase(it);
+            ++dropped;
+          } else {
+            ++it;
+          }
+        }
+        if (dropped > 0) ++ref_epoch;
+        ASSERT_EQ(table.remove_for(service), dropped) << step;
+        break;
+      }
+      case 5: {
+        if (rng.uniform_int(0, 19) != 0) break;  // rare: keep tables full
+        if (!ref.empty()) ++ref_epoch;
+        const std::size_t dropped = ref.size();
+        ref.clear();
+        ASSERT_EQ(table.clear(), dropped) << step;
+        break;
+      }
+      default: {
+        const sim::Duration timeout =
+            sim::seconds(static_cast<double>(rng.uniform_int(0, 40)));
+        std::size_t dropped = 0;
+        for (auto it = ref.begin(); it != ref.end();) {
+          if (now - it->second.last_active > timeout) {
+            it = ref.erase(it);
+            ++dropped;
+          } else {
+            ++it;
+          }
+        }
+        if (dropped > 0) ++ref_epoch;
+        ASSERT_EQ(table.expire_idle(now, timeout), dropped) << step;
+        break;
+      }
+    }
+    ASSERT_EQ(table.drop_epoch(), ref_epoch) << step;
+    ASSERT_EQ(table.size(), ref.size()) << step;
+    for (std::int64_t p = 0; p < kPorts; ++p) {
+      const proxy::Session* found = table.find(tuple_of(p));
+      const auto it = ref.find(p);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << step << " port " << p;
+      if (found == nullptr) continue;
+      EXPECT_EQ(found->service, it->second.service);
+      EXPECT_EQ(found->created, it->second.created);
+      EXPECT_EQ(found->last_active, it->second.last_active);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionTableSweep,
+                         ::testing::Values(1u, 7u, 42u, 1234u, 0xC0FFEEu));
 
 // ---- Record channel: long streams stay consistent ----------------------------
 
