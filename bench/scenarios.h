@@ -1398,6 +1398,36 @@ inline void scaling_event_metrics(runner::RunResult& out,
   }
 }
 
+/// Appends a sampled gateway's session state, summed over its backends:
+/// fastpath hits and misses, live sessions, and each service's
+/// long-session gauge as `svc<i>.long_sessions`.
+inline void gateway_session_metrics(runner::RunResult& out,
+                                    core::MeshGateway& gateway,
+                                    const std::vector<k8s::Service*>&
+                                        services) {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::size_t live_sessions = 0;
+  for (auto* backend : gateway.all_backends()) {
+    hits += backend->fastpath_hits();
+    misses += backend->fastpath_misses();
+    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+      live_sessions += backend->replica(r)->engine().sessions().size();
+    }
+  }
+  out.set("gw_fastpath_hits", static_cast<double>(hits));
+  out.set("gw_fastpath_misses", static_cast<double>(misses));
+  out.set("gw_sessions_live", static_cast<double>(live_sessions));
+  for (std::size_t s = 0; s < services.size(); ++s) {
+    std::size_t long_sessions = 0;
+    for (auto* backend : gateway.all_backends()) {
+      long_sessions += backend->long_sessions(services[s]->id);
+    }
+    out.set(row_prefix("svc", s) + "long_sessions",
+            static_cast<double>(long_sessions));
+  }
+}
+
 // ops_surge_scaling — Fig 16: a noisy neighbour handled by precise
 // scaling. Four services on six gateway backends sampled every second; the
 // noisy service shares one backend with two victims. At 50 s the noisy
@@ -1510,27 +1540,7 @@ inline runner::RunResult ops_surge_scaling(const runner::RunSpec& spec) {
                             : sim::to_seconds(events.front().finish_time -
                                               events.front().alert_time));
   scaling_event_metrics(result, events);
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t live_sessions = 0;
-  for (auto* backend : bed.gateway->all_backends()) {
-    hits += backend->fastpath_hits();
-    misses += backend->fastpath_misses();
-    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
-      live_sessions += backend->replica(r)->engine().sessions().size();
-    }
-  }
-  result.set("gw_fastpath_hits", static_cast<double>(hits));
-  result.set("gw_fastpath_misses", static_cast<double>(misses));
-  result.set("gw_sessions_live", static_cast<double>(live_sessions));
-  for (std::size_t s = 0; s < bed.services.size(); ++s) {
-    std::size_t long_sessions = 0;
-    for (auto* backend : bed.gateway->all_backends()) {
-      long_sessions += backend->long_sessions(bed.services[s]->id);
-    }
-    result.set(row_prefix("svc", s) + "long_sessions",
-               static_cast<double>(long_sessions));
-  }
+  gateway_session_metrics(result, *bed.gateway, bed.services);
   return result;
 }
 
@@ -1807,30 +1817,11 @@ inline runner::RunResult ops_idle_expiry(const runner::RunSpec& spec) {
                            : sim::to_milliseconds(latency_sum) /
                                  static_cast<double>(requests));
   std::uint64_t expired = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t live_sessions = 0;
   for (auto* backend : gateway.all_backends()) {
     expired += backend->sessions_expired();
-    hits += backend->fastpath_hits();
-    misses += backend->fastpath_misses();
-    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
-      live_sessions += backend->replica(r)->engine().sessions().size();
-    }
   }
   result.set("gw_sessions_expired", static_cast<double>(expired));
-  result.set("gw_fastpath_hits", static_cast<double>(hits));
-  result.set("gw_fastpath_misses", static_cast<double>(misses));
-  result.set("gw_sessions_live", static_cast<double>(live_sessions));
-  for (std::size_t s = 0; s < services.size(); ++s) {
-    std::size_t long_sessions = 0;
-    for (auto* backend : gateway.all_backends()) {
-      long_sessions += backend->long_sessions(services[s]->id);
-    }
-    result.set(row_prefix("svc", s) + "long_sessions",
-               static_cast<double>(long_sessions));
-  }
-  for (auto* backend : gateway.all_backends()) backend->stop_sampling();
+  gateway_session_metrics(result, gateway, services);
   return result;
 }
 

@@ -462,8 +462,6 @@ telemetry::BackendSnapshot GatewayBackend::snapshot(sim::Duration window) {
 void GatewayBackend::start_sampling(sim::Duration period) {
   sampler_ = std::make_unique<sim::PeriodicTimer>(loop_, period, [this] {
     util_history_.record(loop_.now(), cpu_utilization(sim::seconds(5)));
-    // The flow cache survives expiry: it memoizes only single-link chains,
-    // whose decision does not depend on which replica holds a session.
     for (auto& replica : replicas_) {
       sessions_expired_ += replica->engine().sessions().expire_idle(
           loop_.now(), config_.session_idle_timeout);

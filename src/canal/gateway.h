@@ -282,10 +282,10 @@ class GatewayBackend {
   /// would compute now. Every replica/ECMP/bucket/service mutation and
   /// session reset bumps flow_epoch_, invalidating all entries; replica
   /// liveness is still re-checked per hit. Idle expiry does not bump it:
-  /// only session state changes, which a single-link decision ignores. Entries live in a direct-mapped
-  /// slot array — insertion is allocation-free, and a colliding flow just
-  /// evicts (the evicted flow takes the slow path: a miss, never a
-  /// behaviour change).
+  /// it changes only session state, which a single-link decision ignores.
+  /// Entries live in a direct-mapped slot array — insertion is
+  /// allocation-free, and a colliding flow just evicts (the evicted flow
+  /// takes the slow path: a miss, never a behaviour change).
   struct FlowEntry {
     net::FiveTuple tuple{};  ///< slot key; value-initialized = empty slot
     std::uint64_t epoch = 0;
