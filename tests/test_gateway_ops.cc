@@ -251,7 +251,7 @@ TEST(InPhaseSelection, LongSessionGaugeIsExactWithSamplingOff) {
     EXPECT_EQ(backend->long_sessions(service), summed);
   }
   EXPECT_EQ(backend->long_sessions(more), 2u);
-  EXPECT_EQ(backend->long_sessions(fewer), 1u);  // the young one is not
+  EXPECT_EQ(backend->long_sessions(fewer), 1u);  // tuple 4 is too young
 
   // No traffic: equal (zero) weighted RPS, so the gauge breaks the tie.
   InPhaseMigrationPlanner planner;
