@@ -74,7 +74,7 @@ CryptoRun run_https_load(OffloadMode mode, double rps, double seconds,
       static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / rps);
   const auto count = static_cast<std::uint64_t>(rps * seconds);
   for (std::uint64_t i = 0; i < count; ++i) {
-    loop.schedule_at(static_cast<sim::Duration>(i) * spacing, [&] {
+    loop.post_at(static_cast<sim::Duration>(i) * spacing, [&] {
       const sim::TimePoint start = loop.now();
       const bool resumed =
           resumption_fraction > 0.0 &&
@@ -174,7 +174,7 @@ void fig23() {
       const auto spacing = static_cast<sim::Duration>(
           static_cast<double>(sim::kSecond) / rps);
       for (int i = 0; i < 400; ++i) {
-        loop.schedule_at(static_cast<sim::Duration>(i) * spacing, [&] {
+        loop.post_at(static_cast<sim::Duration>(i) * spacing, [&] {
           const sim::TimePoint start = loop.now();
           auto record = [&, start] {
             latency.record(sim::to_microseconds(loop.now() - start));

@@ -31,7 +31,7 @@ void fig21_fig22() {
                              });
     const auto writes = static_cast<std::uint64_t>(kWriteRps * kSeconds);
     for (std::uint64_t i = 0; i < writes; ++i) {
-      loop.schedule_at(
+      loop.post_at(
           static_cast<sim::Duration>(i) *
               static_cast<sim::Duration>(sim::kSecond / kWriteRps),
           [&] {

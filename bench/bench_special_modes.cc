@@ -26,7 +26,7 @@ void proxyless_vs_onnode() {
     const double cpu_before = bed.canal->user_cpu_core_seconds();
     int n = 0;
     for (int i = 0; i < 200; ++i) {
-      bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
+      bed.loop.post_at(i * sim::milliseconds(10), [&] {
         mesh::RequestOptions opts = bed.request(true);
         bed.canal->send_request(opts, [&](mesh::RequestResult r) {
           if (r.ok()) {
@@ -60,7 +60,7 @@ void proxyless_vs_onnode() {
     sim::Histogram latency;
     int n = 0;
     for (int i = 0; i < 200; ++i) {
-      bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
+      bed.loop.post_at(i * sim::milliseconds(10), [&] {
         mesh::RequestOptions opts = bed.request(true);
         proxyless.send_request(opts, [&](mesh::RequestResult r) {
           if (r.ok()) {
@@ -115,7 +115,7 @@ void keyless_latency() {
                                  bed.key_server.get());
     sim::Histogram latency;
     for (int i = 0; i < 100; ++i) {
-      bed.loop.schedule_at(i * sim::milliseconds(10), [&] {
+      bed.loop.post_at(i * sim::milliseconds(10), [&] {
         mesh::RequestOptions opts = bed.request(true);
         bed.canal->send_request(opts, [&](mesh::RequestResult r) {
           if (r.ok()) latency.record(sim::to_microseconds(r.latency));

@@ -135,7 +135,7 @@ inline runner::RunResult latency_bimodal(const runner::RunSpec& spec) {
 
   const sim::TimePoint start = bed.loop.now();
   for (int i = 0; i < 2000; ++i) {
-    bed.loop.schedule_at(start + i * sim::milliseconds(5), [&] {
+    bed.loop.post_at(start + i * sim::milliseconds(5), [&] {
       mesh::RequestOptions opts = bed.request(true);
       opts.dst_service = service.id;
       bed.canal->send_request(opts, [&](mesh::RequestResult r) {
@@ -319,7 +319,7 @@ inline FaultRun drive_with_faults(Testbed& bed, mesh::MeshDataplane& mesh,
   for (std::uint64_t i = 0; i < count; ++i) {
     const sim::TimePoint send_time =
         bed.loop.now() + static_cast<sim::Duration>(i) * spacing;
-    bed.loop.schedule_at(
+    bed.loop.post_at(
         send_time, [&bed, &mesh, &result, &policy, &retry_rng, budget,
                     send_time, new_connections] {
           mesh::RequestOptions opts = bed.request(new_connections);
@@ -638,8 +638,8 @@ inline runner::RunResult resilience_retry_storm(const runner::RunSpec& spec) {
     for (std::uint64_t i = 0; i < count; ++i) {
       const sim::TimePoint send_time =
           start + static_cast<sim::Duration>(i) * spacing;
-      bed.loop.schedule_at(send_time, [&bed, &policy, &run, &rng, &budget,
-                                       dst, tenant, send_time] {
+      bed.loop.post_at(send_time, [&bed, &policy, &run, &rng, &budget,
+                                   dst, tenant, send_time] {
         mesh::RequestOptions opts = bed.request(false);
         opts.dst_service = dst;
         opts.tenant = tenant;

@@ -53,21 +53,21 @@ int main() {
   std::function<void()> schedule_next = [&] {
     const double t = sim::to_seconds(loop.now());
     const double rps = t < 30 ? 400.0 : 2400.0;
-    loop.schedule(static_cast<sim::Duration>(
-                      arrivals.exponential(1.0 / rps) *
-                      static_cast<double>(sim::kSecond)),
-                  [&] {
-                    mesh::RequestOptions request;
-                    request.client = &client;
-                    request.dst_service = feed.id;
-                    request.new_connection = false;
-                    mesh.send_request(request, [&](mesh::RequestResult r) {
-                      if (r.status == 429) ++throttled;
-                      else if (r.ok()) ++ok;
-                      else ++failed;
-                    });
-                    if (sim::to_seconds(loop.now()) < 150) schedule_next();
-                  });
+    loop.post(static_cast<sim::Duration>(
+                  arrivals.exponential(1.0 / rps) *
+                  static_cast<double>(sim::kSecond)),
+              [&] {
+                mesh::RequestOptions request;
+                request.client = &client;
+                request.dst_service = feed.id;
+                request.new_connection = false;
+                mesh.send_request(request, [&](mesh::RequestResult r) {
+                  if (r.status == 429) ++throttled;
+                  else if (r.ok()) ++ok;
+                  else ++failed;
+                });
+                if (sim::to_seconds(loop.now()) < 150) schedule_next();
+              });
   };
   schedule_next();
 

@@ -5,15 +5,15 @@ namespace canal::core {
 void FaultInjector::arm(const sim::FaultPlan& plan) {
   for (const auto& event : plan.pod_events()) {
     if (event.restart) {
-      loop_.schedule_at(event.at, [this, pod = event.pod, &plan] {
+      loop_.post_at(event.at, [this, pod = event.pod, &plan] {
         restart_pod(pod, plan);
       });
     } else {
-      loop_.schedule_at(event.at, [this, pod = event.pod] { crash_pod(pod); });
+      loop_.post_at(event.at, [this, pod = event.pod] { crash_pod(pod); });
     }
   }
   for (const auto& event : plan.gateway_events()) {
-    loop_.schedule_at(event.at, [this, event] { apply_gateway_event(event); });
+    loop_.post_at(event.at, [this, event] { apply_gateway_event(event); });
   }
 }
 
@@ -39,7 +39,7 @@ void FaultInjector::restart_pod(std::uint64_t pod,
   // The control plane learns about the recovery after any stale-config
   // delay active right now.
   const sim::Duration delay = plan.config_delay_at(loop_.now());
-  loop_.schedule(delay, [this, victim] {
+  loop_.post(delay, [this, victim] {
     if (on_pod_restarted_) on_pod_restarted_(*victim);
   });
 }

@@ -19,7 +19,7 @@ void MigrationController::migrate_lossy(net::ServiceId service,
   // Config push to the sandbox completes within seconds.
   const std::size_t index = records_.size();
   records_.push_back(record);
-  loop_.schedule(sim::seconds(2), [this, index] {
+  loop_.post(sim::seconds(2), [this, index] {
     records_[index].completed = loop_.now();
   });
 }
@@ -56,10 +56,10 @@ void MigrationController::poll_drain(std::size_t record_index,
     records_[record_index].completed = loop_.now();
     return;
   }
-  loop_.schedule(sim::seconds(30),
-                 [this, record_index, old_backends = std::move(old_backends)]() mutable {
-                   poll_drain(record_index, std::move(old_backends));
-                 });
+  loop_.post(sim::seconds(30),
+             [this, record_index, old_backends = std::move(old_backends)]() mutable {
+               poll_drain(record_index, std::move(old_backends));
+             });
 }
 
 std::size_t MigrationController::in_progress() const {

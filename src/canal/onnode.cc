@@ -33,11 +33,18 @@ OnNodeProxy::OnNodeProxy(sim::EventLoop& loop, const k8s::Node& node,
   engine_config.off_path_fraction = 0.6;
   auto engine = std::make_unique<proxy::ProxyEngine>(loop, cpu_, engine_config,
                                                      rng.fork());
-  engine->set_handshake_executor(
-      [this](std::function<void()> done) {
-        key_client_->sign(config_.identity, "handshake-transcript",
-                          [done = std::move(done)](auto) { done(); });
-      });
+  engine->set_handshake_executor([this](sim::Callback done) {
+    // The engine's continuation waits in a pooled slot: capturing it in the
+    // sign callback would outgrow that callback's inline storage.
+    sim::Callback* parked = handshakes_.acquire();
+    *parked = std::move(done);
+    key_client_->sign(config_.identity, "handshake-transcript",
+                      [this, parked](std::optional<crypto::Signature>) {
+                        sim::Callback resume = std::move(*parked);
+                        handshakes_.release(parked);
+                        resume();
+                      });
+  });
   engine_ = std::move(engine);
 }
 

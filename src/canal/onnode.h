@@ -16,6 +16,8 @@
 #include "k8s/objects.h"
 #include "proxy/engine.h"
 #include "proxy/nagle.h"
+#include "sim/arena.h"
+#include "sim/callback.h"
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
 #include "sim/flat_map.h"
@@ -67,6 +69,8 @@ class OnNodeProxy {
   Config config_;
   sim::CpuSet cpu_;
   std::unique_ptr<crypto::KeyServerClient> key_client_;
+  /// Engine continuations parked while their handshake signs.
+  sim::Pool<sim::Callback> handshakes_;
   std::unique_ptr<proxy::ProxyEngine> engine_;
   sim::FlatHashMap<net::PodId, std::uint64_t, net::IdHash> pod_bytes_;
   std::uint64_t total_bytes_ = 0;

@@ -74,7 +74,7 @@ void TrafficPatternMonitor::poll_drain(std::size_t index) {
     migrations_[index].completed = loop_.now();
     return;
   }
-  loop_.schedule(sim::minutes(1), [this, index] { poll_drain(index); });
+  loop_.post(sim::minutes(1), [this, index] { poll_drain(index); });
 }
 
 std::size_t TrafficPatternMonitor::in_progress() const {

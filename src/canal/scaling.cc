@@ -145,8 +145,8 @@ void PreciseScaler::scale_service(net::ServiceId service, GatewayBackend& hot,
     reuse_event.target_backend = candidate->id();
     const sim::Duration delay = lognormal_delay(
         rng_, config_.reuse_delay_mean, config_.reuse_delay_sigma);
-    loop_.schedule(delay, [this, reuse_event, service,
-                           target = candidate]() mutable {
+    loop_.post(delay, [this, reuse_event, service,
+                       target = candidate]() mutable {
       gateway_.extend_service(service, *target);
       reuse_event.finish_time = loop_.now();
       events_.push_back(reuse_event);
@@ -160,7 +160,7 @@ void PreciseScaler::scale_service(net::ServiceId service, GatewayBackend& hot,
     new_event.kind = ScaleKind::kNew;
     const sim::Duration delay =
         lognormal_delay(rng_, config_.new_delay_mean, config_.new_delay_sigma);
-    loop_.schedule(delay, [this, new_event, service, az = hot.az()]() mutable {
+    loop_.post(delay, [this, new_event, service, az = hot.az()]() mutable {
       GatewayBackend& fresh = gateway_.add_backend(az);
       fresh.start_sampling(sim::seconds(1));
       gateway_.extend_service(service, fresh);

@@ -10,12 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "crypto/cost_model.h"
+#include "sim/arena.h"
+#include "sim/callback.h"
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
+#include "sim/ring_deque.h"
 #include "sim/stats.h"
 
 namespace canal::crypto {
@@ -34,7 +35,7 @@ class AsymmetricAccelerator {
   AsymmetricAccelerator& operator=(const AsymmetricAccelerator&) = delete;
 
   /// Submits one asymmetric operation; `done` fires at modeled completion.
-  void submit(std::function<void()> done);
+  void submit(sim::Callback done);
 
   [[nodiscard]] AccelMode mode() const noexcept { return mode_; }
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
@@ -47,18 +48,23 @@ class AsymmetricAccelerator {
   }
 
  private:
+  // Ops live in a pool and CPU jobs capture only {this, op}: a job that
+  // captured the op's Callback itself would outgrow the job's inline
+  // storage and allocate.
   struct PendingOp {
-    sim::TimePoint submitted;
-    std::function<void()> done;
+    sim::TimePoint submitted = 0;
+    sim::Callback done;
   };
 
   void flush_batch();
+  void complete(PendingOp* op);
 
   sim::EventLoop& loop_;
   sim::CpuSet& cpu_;
   AccelMode mode_;
   CryptoCostModel model_;
-  std::deque<PendingOp> batch_;
+  sim::Pool<PendingOp> ops_;
+  sim::RingDeque<PendingOp*> batch_;
   sim::EventHandle flush_timer_;
   std::uint64_t completed_ = 0;
   std::uint64_t batches_flushed_ = 0;

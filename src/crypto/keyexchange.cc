@@ -1,5 +1,6 @@
 #include "crypto/keyexchange.h"
 
+#include <array>
 #include <cstring>
 
 #include "crypto/mac.h"
@@ -13,14 +14,41 @@ constexpr std::uint64_t kGroupOrder = kFieldPrime - 1;
 std::uint64_t challenge(std::uint64_t r, std::string_view message) {
   Key128 key{};
   key[0] = 0x53;  // 'S' for Schnorr domain
-  std::string material;
-  material.resize(8 + message.size());
-  std::memcpy(material.data(), &r, 8);
-  std::memcpy(material.data() + 8, message.data(), message.size());
-  std::uint64_t e = siphash24(key, material) % kGroupOrder;
+  // r || message is assembled on the stack; only a message too long for the
+  // buffer (handshake transcripts are short) takes a heap copy.
+  constexpr std::size_t kStackBytes = 256;
+  std::array<char, kStackBytes> stack;
+  std::string oversized;
+  const std::size_t size = 8 + message.size();
+  char* material = stack.data();
+  if (size > kStackBytes) {
+    oversized.resize(size);
+    material = oversized.data();
+  }
+  std::memcpy(material, &r, 8);
+  std::memcpy(material + 8, message.data(), message.size());
+  std::uint64_t e =
+      siphash24(key, std::string_view(material, size)) % kGroupOrder;
   if (e == 0) e = 1;
   return e;
 }
+
+/// g^(j * 256^i) mod p for every byte position i of a 64-bit exponent and
+/// every byte value j: 8 x 256 entries, 16 KB, built once.
+struct GeneratorTable {
+  std::array<std::array<std::uint64_t, 256>, 8> powers{};
+
+  GeneratorTable() {
+    std::uint64_t base = kGenerator;  // g^(256^i)
+    for (auto& row : powers) {
+      row[0] = 1;
+      for (std::size_t j = 1; j < row.size(); ++j) {
+        row[j] = mod_mul(row[j - 1], base);
+      }
+      base = mod_mul(row[255], base);
+    }
+  }
+};
 
 }  // namespace
 
@@ -40,12 +68,22 @@ std::uint64_t mod_pow(std::uint64_t base, std::uint64_t exp) noexcept {
   return result;
 }
 
+std::uint64_t generator_pow(std::uint64_t exp) noexcept {
+  static const GeneratorTable table;
+  std::uint64_t result = table.powers[0][exp & 0xff];
+  for (std::size_t i = 1; i < table.powers.size(); ++i) {
+    exp >>= 8;
+    result = mod_mul(result, table.powers[i][exp & 0xff]);
+  }
+  return result;
+}
+
 KeyPair generate_keypair(sim::Rng& rng) {
   KeyPair kp;
   do {
     kp.private_key = rng.next() % kGroupOrder;
   } while (kp.private_key < 2);
-  kp.public_key = mod_pow(kGenerator, kp.private_key);
+  kp.public_key = generator_pow(kp.private_key);
   return kp;
 }
 
@@ -68,7 +106,7 @@ Signature sign(std::uint64_t private_key, std::string_view message,
   do {
     k = rng.next() % kGroupOrder;
   } while (k < 2);
-  sig.r = mod_pow(kGenerator, k);
+  sig.r = generator_pow(k);
   const std::uint64_t e = challenge(sig.r, message);
   // s = k - e*x mod (p-1); use 128-bit arithmetic to avoid overflow.
   const auto ex = static_cast<unsigned __int128>(e) * private_key;

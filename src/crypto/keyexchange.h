@@ -26,6 +26,9 @@ constexpr std::uint64_t kGenerator = 3;
 std::uint64_t mod_mul(std::uint64_t a, std::uint64_t b) noexcept;
 /// (base ^ exp) mod p, square-and-multiply.
 std::uint64_t mod_pow(std::uint64_t base, std::uint64_t exp) noexcept;
+/// (kGenerator ^ exp) mod p from a precomputed fixed-base table: 8 mod_muls
+/// instead of square-and-multiply's ~90, and exactly mod_pow's result.
+std::uint64_t generator_pow(std::uint64_t exp) noexcept;
 
 struct KeyPair {
   std::uint64_t private_key = 0;

@@ -60,64 +60,79 @@ std::optional<std::uint64_t> KeyServer::decrypt_key(
 
 void KeyServer::handle_sign(const std::string& requester_id,
                             const std::string& identity,
-                            std::string transcript, SignCallback done) {
+                            std::string_view transcript, SignCallback done) {
+  SignOp* op = ops_.acquire();
+  op->done = std::move(done);
   if (!available_ || !has_channel(requester_id)) {
     ++rejected_;
-    loop_.schedule(0, [done = std::move(done)] { done(std::nullopt); });
+    loop_.post(0, [this, op] { finish(op, std::nullopt); });
     return;
   }
   const auto key = decrypt_key(identity);
   if (!key) {
     ++rejected_;
-    loop_.schedule(0, [done = std::move(done)] { done(std::nullopt); });
+    loop_.post(0, [this, op] { finish(op, std::nullopt); });
     return;
   }
+  op->key = *key;
+  op->transcript.assign(transcript);
   // Request admission/unmarshalling cost, then the batched asymmetric op.
-  cpu_.execute(model_.key_server_overhead, [this, key = *key,
-                                            transcript = std::move(transcript),
-                                            done = std::move(done)]() mutable {
-    accel_.submit([this, key, transcript = std::move(transcript),
-                   done = std::move(done)]() mutable {
+  cpu_.execute(model_.key_server_overhead, [this, op] {
+    accel_.submit([this, op] {
       // The plaintext key exists only for the duration of this operation.
-      const Signature sig = sign(key, transcript, rng_);
+      const Signature sig = sign(op->key, op->transcript, rng_);
       ++served_;
-      done(sig);
+      finish(op, sig);
     });
   });
 }
 
-void KeyServerClient::sign(const std::string& identity, std::string transcript,
+void KeyServer::finish(SignOp* op, std::optional<Signature> sig) {
+  SignCallback done = std::move(op->done);
+  op->key = 0;
+  ops_.release(op);
+  done(sig);
+}
+
+void KeyServerClient::sign(std::string_view identity,
+                           std::string_view transcript,
                            KeyServer::SignCallback done) {
+  SignOp* op = ops_.acquire();
+  op->transcript.assign(transcript);
+  op->done = std::move(done);
   if (server_ != nullptr && server_->available()) {
     ++remote_;
-    const sim::Duration one_way = config_.model.key_server_one_way;
+    op->identity.assign(identity);
     // Request transit -> server handling -> response transit.
-    loop_.schedule(one_way, [this, identity, transcript = std::move(transcript),
-                             done = std::move(done), one_way]() mutable {
+    loop_.post(config_.model.key_server_one_way, [this, op] {
       server_->handle_sign(
-          config_.requester_id, identity, std::move(transcript),
-          [this, done = std::move(done), one_way](std::optional<Signature> sig) {
-            loop_.schedule(one_way, [done = std::move(done), sig] { done(sig); });
+          config_.requester_id, op->identity, op->transcript,
+          [this, op](std::optional<Signature> sig) {
+            loop_.post(config_.model.key_server_one_way,
+                       [this, op, sig] { finish(op, sig); });
           });
     });
     return;
   }
-  local_fallback(std::move(transcript), std::move(done));
+  local_fallback(op);
 }
 
-void KeyServerClient::local_fallback(std::string transcript,
-                                     KeyServer::SignCallback done) {
+void KeyServerClient::local_fallback(SignOp* op) {
   if (!config_.local_private_key) {
-    loop_.schedule(0, [done = std::move(done)] { done(std::nullopt); });
+    loop_.post(0, [this, op] { finish(op, std::nullopt); });
     return;
   }
   ++fallback_;
-  local_cpu_.execute(config_.model.software_asym_cost,
-                     [this, transcript = std::move(transcript),
-                      done = std::move(done)]() mutable {
-                       done(canal::crypto::sign(*config_.local_private_key,
-                                                transcript, rng_));
-                     });
+  local_cpu_.execute(config_.model.software_asym_cost, [this, op] {
+    finish(op, canal::crypto::sign(*config_.local_private_key, op->transcript,
+                                   rng_));
+  });
+}
+
+void KeyServerClient::finish(SignOp* op, std::optional<Signature> sig) {
+  KeyServer::SignCallback done = std::move(op->done);
+  ops_.release(op);
+  done(sig);
 }
 
 }  // namespace canal::crypto

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,6 +20,8 @@
 #include "crypto/chacha20.h"
 #include "crypto/cost_model.h"
 #include "net/ids.h"
+#include "sim/arena.h"
+#include "sim/callback.h"
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
 
@@ -45,12 +47,14 @@ class KeyServer {
   void establish_channel(const std::string& requester_id);
   [[nodiscard]] bool has_channel(const std::string& requester_id) const;
 
-  using SignCallback = std::function<void(std::optional<Signature>)>;
+  using SignCallback = sim::BasicCallback<std::optional<Signature>>;
 
   /// Serves a transcript-signing request arriving *at the server* (the
   /// client stub models the network). Rejects unknown requesters/identities.
+  /// The transcript is copied into pooled request state, so the caller's
+  /// bytes need only live until this returns.
   void handle_sign(const std::string& requester_id, const std::string& identity,
-                   std::string transcript, SignCallback done);
+                   std::string_view transcript, SignCallback done);
 
   [[nodiscard]] std::uint64_t requests_served() const noexcept {
     return served_;
@@ -64,8 +68,18 @@ class KeyServer {
   [[nodiscard]] sim::CpuSet& cpu() noexcept { return cpu_; }
 
  private:
+  /// One in-flight request. Pooled, so the transcript buffer keeps its
+  /// capacity across requests; continuations capture only {this, op}.
+  struct SignOp {
+    std::uint64_t key = 0;
+    std::string transcript;
+    SignCallback done;
+  };
+
   [[nodiscard]] std::optional<std::uint64_t> decrypt_key(
       const std::string& identity) const;
+  /// Releases `op` and hands `sig` to its continuation.
+  void finish(SignOp* op, std::optional<Signature> sig);
 
   sim::EventLoop& loop_;
   net::AzId az_;
@@ -77,6 +91,7 @@ class KeyServer {
   bool available_ = true;
   std::unordered_map<std::string, std::string> encrypted_keys_;
   std::unordered_set<std::string> channels_;
+  sim::Pool<SignOp> ops_;
   std::uint64_t served_ = 0;
   std::uint64_t rejected_ = 0;
 };
@@ -105,7 +120,7 @@ class KeyServerClient {
   /// Signs `transcript` for `identity`: remotely via the key server when
   /// reachable, else locally in software. `done` receives nullopt only if
   /// both paths are impossible.
-  void sign(const std::string& identity, std::string transcript,
+  void sign(std::string_view identity, std::string_view transcript,
             KeyServer::SignCallback done);
 
   [[nodiscard]] std::uint64_t remote_signs() const noexcept { return remote_; }
@@ -114,13 +129,24 @@ class KeyServerClient {
   }
 
  private:
-  void local_fallback(std::string transcript, KeyServer::SignCallback done);
+  /// One in-flight request; the identity and transcript travel with it to
+  /// the server. Pooled like KeyServer::SignOp.
+  struct SignOp {
+    std::string identity;
+    std::string transcript;
+    KeyServer::SignCallback done;
+  };
+
+  void local_fallback(SignOp* op);
+  /// Releases `op` and hands `sig` to its continuation.
+  void finish(SignOp* op, std::optional<Signature> sig);
 
   sim::EventLoop& loop_;
   sim::CpuSet& local_cpu_;
   Config config_;
   sim::Rng rng_;
   KeyServer* server_ = nullptr;
+  sim::Pool<SignOp> ops_;
   std::uint64_t remote_ = 0;
   std::uint64_t fallback_ = 0;
 };

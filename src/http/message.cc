@@ -1,7 +1,6 @@
 #include "http/message.h"
 
 #include <algorithm>
-#include <cctype>
 
 namespace canal::http {
 namespace {
@@ -10,9 +9,11 @@ constexpr std::string_view kMethodNames[] = {
     "GET",     "HEAD",    "POST",  "PUT",  "DELETE",
     "CONNECT", "OPTIONS", "TRACE", "PATCH"};
 
-char ascii_lower(char c) noexcept {
-  return static_cast<char>(
-      std::tolower(static_cast<unsigned char>(c)));
+// ASCII-only case fold, inline: the locale-aware std::tolower is an
+// out-of-line call per byte, and the simulator never calls setlocale, so in
+// the "C" locale the two agree on every byte.
+constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
 }  // namespace

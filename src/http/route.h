@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/message.h"
@@ -89,7 +90,9 @@ struct RouteRule {
 /// Result of route resolution.
 struct RouteResult {
   const RouteRule* rule = nullptr;
-  std::string cluster;  // chosen destination (after weighted pick)
+  /// Chosen destination (after weighted pick): a view of the rule's own
+  /// cluster name, valid while the table is unchanged.
+  std::string_view cluster;
   bool direct_response = false;
   int direct_status = 0;
 };

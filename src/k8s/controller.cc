@@ -17,7 +17,7 @@ void SouthboundChannel::transfer(std::uint64_t bytes,
   const double window_bps =
       occupancy_bps(busy_until_, sim::kSecond);
   peak_bps_ = std::max(peak_bps_, window_bps);
-  loop_.schedule_at(busy_until_ + latency_, [done = std::move(done)] {
+  loop_.post_at(busy_until_ + latency_, [done = std::move(done)] {
     if (done) done();
   });
 }
@@ -63,13 +63,13 @@ void Controller::push_update(std::vector<ConfigTarget> targets,
     }
   };
   if (targets.empty()) {
-    loop_.schedule_at(build_done, finish);
+    loop_.post_at(build_done, finish);
     return;
   }
-  loop_.schedule_at(build_done, [this, targets = std::move(targets), remaining,
-                                 finish = std::move(finish),
-                                 on_delivered =
-                                     std::move(on_delivered)]() mutable {
+  loop_.post_at(build_done, [this, targets = std::move(targets), remaining,
+                             finish = std::move(finish),
+                             on_delivered =
+                                 std::move(on_delivered)]() mutable {
     auto shared_targets =
         std::make_shared<std::vector<ConfigTarget>>(std::move(targets));
     for (std::size_t i = 0; i < shared_targets->size(); ++i) {

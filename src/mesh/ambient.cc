@@ -41,7 +41,7 @@ AmbientMesh::Ztunnel& AmbientMesh::ztunnel_for(const k8s::Node& node) {
     slot->engine = std::make_unique<proxy::ProxyEngine>(
         loop_, slot->cpu, engine_config, rng_.fork());
     slot->engine->set_handshake_executor(
-        [accel = slot->accel.get()](std::function<void()> done) {
+        [accel = slot->accel.get()](sim::Callback done) {
           accel->submit(std::move(done));
         });
   }
@@ -69,7 +69,7 @@ AmbientMesh::Waypoint& AmbientMesh::waypoint_for(const k8s::Service& service) {
     slot->engine = std::make_unique<proxy::ProxyEngine>(
         loop_, slot->cpu, engine_config, rng_.fork());
     slot->engine->set_handshake_executor(
-        [accel = slot->accel.get()](std::function<void()> done) {
+        [accel = slot->accel.get()](sim::Callback done) {
           accel->submit(std::move(done));
         });
     install_service_config(*slot->engine, service);

@@ -44,7 +44,7 @@ void IstioMesh::add_sidecar(k8s::Pod& pod) {
   auto engine = std::make_unique<proxy::ProxyEngine>(
       loop_, pool.cpu, engine_config, rng_.fork());
   engine->set_handshake_executor(
-      [accel = pool.accel.get()](std::function<void()> done) {
+      [accel = pool.accel.get()](sim::Callback done) {
         accel->submit(std::move(done));
       });
   install_full_config(*engine, cluster_);

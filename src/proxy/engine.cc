@@ -1,5 +1,6 @@
 #include "proxy/engine.h"
 
+#include <charconv>
 #include <utility>
 
 namespace canal::proxy {
@@ -241,10 +242,17 @@ void ProxyEngine::finish_request(const net::FiveTuple& tuple,
       }
     } else {
       ++fastpath_misses_;
-      // L4: the "cluster" is the destination service itself.
-      std::string cluster_name =
-          "service-" + std::to_string(net::id_value(dst_service));
-      cluster = clusters_.find(cluster_name);
+      // L4: the "cluster" is the destination service itself. Its name is
+      // built on the stack: "service-<id>" outgrows a std::string's
+      // small-string buffer once tenant bits enter the id.
+      constexpr std::string_view kPrefix = "service-";
+      char name[kPrefix.size() + 20];
+      kPrefix.copy(name, kPrefix.size());
+      const auto digits =
+          std::to_chars(name + kPrefix.size(), name + sizeof(name),
+                        net::id_value(dst_service));
+      cluster = clusters_.find(
+          std::string_view(name, static_cast<std::size_t>(digits.ptr - name)));
       if (cluster != nullptr) {
         if (fastpath_.empty()) fastpath_.resize(kFastpathSlots);
         FastpathEntry& slot = fastpath_[slot_index];

@@ -22,6 +22,7 @@
 #include "proxy/session_table.h"
 #include "proxy/upstream.h"
 #include "sim/arena.h"
+#include "sim/callback.h"
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
 #include "sim/flat_map.h"
@@ -52,7 +53,10 @@ class ProxyEngine {
 
   /// Pluggable executor for the asymmetric part of a TLS handshake —
   /// local software, a batched accelerator, or a remote key-server client.
-  using HandshakeExecutor = std::function<void(std::function<void()> done)>;
+  /// It runs `done` once the handshake completes. `done` is move-only; an
+  /// executor that waits on another continuation parks it in pooled state
+  /// rather than capturing it (see sim::BasicCallback).
+  using HandshakeExecutor = sim::BasicCallback<sim::Callback>;
 
   /// Observation hook fired for every accepted request (service telemetry).
   using RequestObserver = std::function<void(

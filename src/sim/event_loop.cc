@@ -5,48 +5,52 @@
 
 namespace canal::sim {
 
-std::uint32_t EventLoop::acquire_slot(Callback cb,
-                                      std::shared_ptr<bool> alive) {
+std::uint32_t EventLoop::acquire_slot(Callback cb) {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     slab_[slot].cb = std::move(cb);
-    slab_[slot].alive = std::move(alive);
     return slot;
   }
-  slab_.push_back(Event{std::move(cb), std::move(alive)});
+  slab_.push_back(Event{std::move(cb), 0});
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
 void EventLoop::enqueue(TimePoint when, std::uint32_t slot) {
+  const HeapKey key{when, next_seq_++, slot, slab_[slot].generation};
   if (when == now_) {
     // Same-tick event: FIFO bucket, no heap sift. seq still drawn from the
     // global counter so pop order matches a pure heap exactly (see header).
-    bucket_.push_back(HeapKey{when, next_seq_++, slot});
+    bucket_.push_back(key);
     return;
   }
-  heap_.push_back(HeapKey{when, next_seq_++, slot});
+  heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 EventHandle EventLoop::schedule_at(TimePoint when, Callback cb) {
   if (when < now_) when = now_;
-  auto alive = std::make_shared<bool>(true);
-  enqueue(when, acquire_slot(std::move(cb), alive));
-  return EventHandle(std::move(alive));
-}
-
-EventHandle EventLoop::schedule_at(TimePoint when, Callback cb,
-                                   const std::shared_ptr<bool>& alive) {
-  if (when < now_) when = now_;
-  *alive = true;
-  enqueue(when, acquire_slot(std::move(cb), alive));
-  return EventHandle(alive);
+  const std::uint32_t slot = acquire_slot(std::move(cb));
+  enqueue(when, slot);
+  return EventHandle(this, slot, slab_[slot].generation);
 }
 
 void EventLoop::post_at(TimePoint when, Callback cb) {
   if (when < now_) when = now_;
-  enqueue(when, acquire_slot(std::move(cb), nullptr));
+  enqueue(when, acquire_slot(std::move(cb)));
+}
+
+bool EventLoop::run_key(const HeapKey& key) {
+  // Move the payload out and recycle the slot before invoking: the callback
+  // may schedule new events, which can reuse this slot or grow the slab.
+  Event& ev = slab_[key.slot];
+  Callback cb = std::move(ev.cb);
+  free_slots_.push_back(key.slot);
+  if (ev.generation != key.generation) return false;  // cancelled
+  // Firing ends the event: its handle (and any copy) stops matching.
+  ++ev.generation;
+  cb();
+  return true;
 }
 
 bool EventLoop::pop_and_run() {
@@ -54,40 +58,11 @@ bool EventLoop::pop_and_run() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
   now_ = key.when;
-  // Move the payload out and recycle the slot before invoking: the callback
-  // may schedule new events, which can reuse this slot or grow the slab.
-  Event& ev = slab_[key.slot];
-  Callback cb = std::move(ev.cb);
-  std::shared_ptr<bool> alive = std::move(ev.alive);
-  free_slots_.push_back(key.slot);
-  if (alive == nullptr) {  // fire-and-forget: cannot be cancelled
-    cb();
-    return true;
-  }
-  if (*alive) {
-    *alive = false;
-    cb();
-    return true;
-  }
-  return false;
+  return run_key(key);
 }
 
 bool EventLoop::run_bucket_front() {
-  const HeapKey key = bucket_[bucket_cursor_++];
-  Event& ev = slab_[key.slot];
-  Callback cb = std::move(ev.cb);
-  std::shared_ptr<bool> alive = std::move(ev.alive);
-  free_slots_.push_back(key.slot);
-  if (alive == nullptr) {
-    cb();
-    return true;
-  }
-  if (*alive) {
-    *alive = false;
-    cb();
-    return true;
-  }
-  return false;
+  return run_key(bucket_[bucket_cursor_++]);
 }
 
 std::size_t EventLoop::run() {
@@ -138,18 +113,14 @@ std::size_t EventLoop::run_until(TimePoint deadline) {
 
 void PeriodicTimer::start(Duration initial_delay) {
   stop();
-  if (alive_ == nullptr) alive_ = std::make_shared<bool>(false);
   arm(initial_delay);
 }
 
 void PeriodicTimer::arm(Duration delay) {
-  handle_ = loop_.schedule_at(
-      loop_.now() + (delay > 0 ? delay : 0),
-      [this] {
-        tick_();
-        arm(period_);
-      },
-      alive_);
+  handle_ = loop_.schedule(delay, [this] {
+    tick_();
+    arm(period_);
+  });
 }
 
 }  // namespace canal::sim

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -16,25 +15,35 @@
 
 namespace canal::sim {
 
-/// Handle used to cancel a scheduled event. Cancelling is O(1); the event
-/// stays in the heap but is skipped when popped.
+class EventLoop;
+
+/// Handle used to cancel a scheduled event: the event's slab slot plus the
+/// slot's generation when the event was scheduled. Firing or cancelling
+/// bumps the slot's generation, so a handle whose event is gone — even if
+/// its slot now holds a newer event — matches nothing. Cancelling is O(1);
+/// the event's key stays in the heap and is skipped when popped.
+///
+/// A handle holds a raw pointer to its loop: cancel() and pending() must not
+/// be called after the loop is destroyed.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Prevents the event from firing. Safe to call repeatedly or on a
-  /// default-constructed handle.
-  void cancel() noexcept {
-    if (alive_) *alive_ = false;
-  }
+  /// Prevents the event from firing. Safe to call repeatedly, on a fired
+  /// event, or on a default-constructed handle.
+  inline void cancel() noexcept;
 
   /// True if the event is still pending (not fired, not cancelled).
-  [[nodiscard]] bool pending() const noexcept { return alive_ && *alive_; }
+  [[nodiscard]] inline bool pending() const noexcept;
 
  private:
   friend class EventLoop;
-  explicit EventHandle(std::shared_ptr<bool> alive) : alive_(std::move(alive)) {}
-  std::shared_ptr<bool> alive_;
+  EventHandle(EventLoop* loop, std::uint32_t slot, std::uint32_t generation)
+      : loop_(loop), slot_(slot), generation_(generation) {}
+
+  EventLoop* loop_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 /// The simulation event loop. Single-threaded and deterministic.
@@ -50,22 +59,17 @@ class EventLoop {
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Schedules `cb` to run at absolute time `when` (clamped to now()).
-  EventHandle schedule_at(TimePoint when, Callback cb);
-
-  /// schedule_at reusing a caller-owned liveness flag. Repeating timers
-  /// allocate their flag once and re-arm with it forever instead of paying
-  /// one shared_ptr control block per tick. The flag is set true here; the
-  /// loop sets it false when the event fires (or cancel() does).
-  EventHandle schedule_at(TimePoint when, Callback cb,
-                          const std::shared_ptr<bool>& alive);
+  /// Callers that never cancel use post_at().
+  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback cb);
 
   /// Schedules `cb` to run `delay` after now().
-  EventHandle schedule(Duration delay, Callback cb) {
+  [[nodiscard]] EventHandle schedule(Duration delay, Callback cb) {
     return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 
-  /// Fire-and-forget variant of schedule_at: no cancellation handle, so no
-  /// per-event liveness allocation. Use on hot paths that never cancel.
+  /// Fire-and-forget variant of schedule_at: no cancellation handle. Same
+  /// sequence numbering as schedule_at, so swapping one for the other never
+  /// moves an event.
   void post_at(TimePoint when, Callback cb);
 
   /// Fire-and-forget variant of schedule().
@@ -115,15 +119,23 @@ class EventLoop {
   // heap would have produced. The win is skipping two O(log n) sifts per
   // same-tick event — the dominant class once request fan-out chains post
   // zero-delay continuations.
+  //
+  // Cancellation: each slot carries a generation, copied into its key and
+  // its handle when the event is scheduled. Firing or cancelling bumps the
+  // slot's generation; a popped key whose generation no longer matches was
+  // cancelled and is skipped. A cancelled slot is freed only when its key
+  // pops, so a slot never holds two live keys.
   struct Event {
     Callback cb;
-    std::shared_ptr<bool> alive;
+    std::uint32_t generation = 0;
   };
   struct HeapKey {
     TimePoint when = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
+    std::uint32_t generation = 0;  // fills the key's padding: still 24 bytes
   };
+  static_assert(sizeof(HeapKey) == 24);
   struct Later {
     bool operator()(const HeapKey& a, const HeapKey& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
@@ -131,10 +143,21 @@ class EventLoop {
     }
   };
 
-  std::uint32_t acquire_slot(Callback cb, std::shared_ptr<bool> alive);
+  friend class EventHandle;
+
+  std::uint32_t acquire_slot(Callback cb);
   void enqueue(TimePoint when, std::uint32_t slot);
+  bool run_key(const HeapKey& key);
   bool pop_and_run();
   bool run_bucket_front();
+
+  [[nodiscard]] bool live(std::uint32_t slot,
+                          std::uint32_t generation) const noexcept {
+    return slab_[slot].generation == generation;
+  }
+  void cancel(std::uint32_t slot, std::uint32_t generation) noexcept {
+    if (live(slot, generation)) ++slab_[slot].generation;
+  }
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -145,7 +168,17 @@ class EventLoop {
   std::vector<std::uint32_t> free_slots_;
 };
 
+inline void EventHandle::cancel() noexcept {
+  if (loop_ != nullptr) loop_->cancel(slot_, generation_);
+}
+
+inline bool EventHandle::pending() const noexcept {
+  return loop_ != nullptr && loop_->live(slot_, generation_);
+}
+
 /// Repeating timer built on EventLoop. Fires `period` apart until stopped.
+/// Must be destroyed before its loop (the destructor cancels the pending
+/// tick).
 class PeriodicTimer {
  public:
   PeriodicTimer(EventLoop& loop, Duration period, std::function<void()> tick)
@@ -170,10 +203,6 @@ class PeriodicTimer {
   Duration period_;
   std::function<void()> tick_;
   EventHandle handle_;
-  // One liveness flag for the timer's lifetime, re-armed every tick — a
-  // periodic timer would otherwise allocate a fresh control block per tick
-  // forever (see EventLoop::schedule_at's shared-alive overload).
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace canal::sim

@@ -144,17 +144,11 @@ class FlatHashMap {
   std::size_t erase(const K2& key) {
     const std::size_t slot = find_slot(key);
     if (slot == kNpos) return 0;
-    ctrl_[slot] = kTombstone;
-    slots_[slot].reset();
-    --size_;
+    erase_slot(slot);
     return 1;
   }
 
-  void erase(iterator it) {
-    ctrl_[it.index_] = kTombstone;
-    slots_[it.index_].reset();
-    --size_;
-  }
+  void erase(iterator it) { erase_slot(it.index_); }
 
   void clear() noexcept {
     for (std::size_t i = 0; i < ctrl_.size(); ++i) {
@@ -179,6 +173,7 @@ class FlatHashMap {
   static constexpr std::uint8_t kEmpty = 0;
   static constexpr std::uint8_t kFull = 1;
   static constexpr std::uint8_t kTombstone = 2;
+  static constexpr std::uint8_t kUnsettled = 3;  // only inside a purge
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   /// splitmix64 finalizer: std::hash for integers is the identity on
@@ -204,6 +199,30 @@ class FlatHashMap {
       if (ctrl_[i] == kEmpty) return kNpos;
       if (ctrl_[i] == kFull && eq_(slots_[i]->first, key)) return i;
       i = (i + 1) & mask;
+    }
+  }
+
+  /// Empties a full slot. It becomes a tombstone only when a probe chain
+  /// may run through it: if the next slot is empty, no chain crosses this
+  /// one, so it — and the run of tombstones just before it — go back to
+  /// empty. Inserts land where they would have landed on the tombstones
+  /// (the first tombstone or empty slot on the probe run), but the cleared
+  /// slots stop counting against the load ceiling, so insert/erase churn
+  /// purges (purge_tombstones) far less often.
+  void erase_slot(std::size_t slot) {
+    slots_[slot].reset();
+    --size_;
+    const std::size_t mask = ctrl_.size() - 1;
+    if (ctrl_[(slot + 1) & mask] != kEmpty) {
+      ctrl_[slot] = kTombstone;
+      return;
+    }
+    ctrl_[slot] = kEmpty;
+    --filled_;
+    for (std::size_t i = (slot - 1) & mask; ctrl_[i] == kTombstone;
+         i = (i - 1) & mask) {
+      ctrl_[i] = kEmpty;
+      --filled_;
     }
   }
 
@@ -251,6 +270,10 @@ class FlatHashMap {
   }
 
   void rehash(std::size_t new_cap) {
+    if (new_cap == ctrl_.size()) {
+      purge_tombstones();
+      return;
+    }
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
     std::vector<std::optional<value_type>> old_slots = std::move(slots_);
     ctrl_.assign(new_cap, kEmpty);
@@ -266,6 +289,36 @@ class FlatHashMap {
       slots_[slot] = std::move(old_slots[i]);
       (void)inserted;
     }
+  }
+
+  /// Same-capacity rehash in the existing arrays, so insert/erase churn
+  /// never allocates: tombstones become empty and every entry moves to the
+  /// first free slot of its probe run. Entries settle in slot order; one
+  /// whose target still holds an unsettled entry swaps with it, and the
+  /// displaced entry is placed next. A settled slot never moves again, so
+  /// every entry ends with an unbroken run of full slots from its home.
+  void purge_tombstones() {
+    const std::size_t mask = ctrl_.size() - 1;
+    for (std::uint8_t& c : ctrl_) c = c == kFull ? kUnsettled : kEmpty;
+    for (std::size_t i = 0; i < ctrl_.size(); ++i) {
+      while (ctrl_[i] == kUnsettled) {
+        // Stops at i at the latest: i itself is unsettled.
+        std::size_t target = mix(slots_[i]->first) & mask;
+        while (ctrl_[target] == kFull) target = (target + 1) & mask;
+        if (target == i) {
+          ctrl_[i] = kFull;
+        } else if (ctrl_[target] == kEmpty) {
+          slots_[target] = std::move(slots_[i]);
+          slots_[i].reset();
+          ctrl_[target] = kFull;
+          ctrl_[i] = kEmpty;
+        } else {
+          std::swap(slots_[i], slots_[target]);
+          ctrl_[target] = kFull;
+        }
+      }
+    }
+    filled_ = size_;
   }
 
   std::vector<std::uint8_t> ctrl_;

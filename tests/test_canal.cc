@@ -306,7 +306,7 @@ TEST(Gateway, InjectLoadRaisesUtilization) {
   GatewayBackend* backend =
       bed.gateway->resolve(bed.backend_svc->id, static_cast<net::AzId>(0));
   for (int tick = 0; tick < 10; ++tick) {
-    bed.loop.schedule(sim::seconds(1), [&] {
+    bed.loop.post(sim::seconds(1), [&] {
       backend->inject_load(bed.backend_svc->id, 10000.0, sim::seconds(1));
     });
     bed.loop.run();

@@ -3,6 +3,8 @@
 // machine, the batch accelerator, and the key server.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -132,6 +134,22 @@ TEST(ModArith, MulMatchesPow) {
   EXPECT_EQ(mod_pow(kGenerator, 2), mod_mul(kGenerator, kGenerator));
   // Fermat: a^(p-1) == 1 mod p for a not divisible by p.
   EXPECT_EQ(mod_pow(12345, kFieldPrime - 1), 1u);
+}
+
+TEST(ModArith, GeneratorPowMatchesModPow) {
+  // The fixed-base table must reproduce square-and-multiply exactly.
+  std::vector<std::uint64_t> exps = {0, 1, 255, 256, kFieldPrime - 1,
+                                     ~std::uint64_t{0}};
+  for (std::uint64_t power = 1; power != 0; power <<= 8) exps.push_back(power);
+  for (const std::uint64_t e : exps) {
+    EXPECT_EQ(generator_pow(e), mod_pow(kGenerator, e)) << "e = " << e;
+  }
+  EXPECT_EQ(generator_pow(kFieldPrime - 1), 1u);  // Fermat
+  sim::Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t e = rng.next();
+    ASSERT_EQ(generator_pow(e), mod_pow(kGenerator, e)) << "e = " << e;
+  }
 }
 
 TEST(DiffieHellman, SharedSecretsAgree) {

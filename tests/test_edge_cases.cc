@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 
 #include "canal/canal_mesh.h"
 #include "canal/gateway.h"
@@ -272,7 +273,7 @@ TEST_P(EngineSaturation, LatencyMonotoneInLoad) {
   std::vector<std::unique_ptr<http::Request>> requests;
   for (int i = 0; i < 2000; ++i) {
     t += static_cast<sim::Duration>(rng.exponential(1.0 / rps) * 1e9);
-    loop.schedule_at(t, [&, i] {
+    loop.post_at(t, [&, i] {
       auto req = std::make_unique<http::Request>();
       auto* raw = req.get();
       requests.push_back(std::move(req));

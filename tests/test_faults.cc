@@ -161,11 +161,11 @@ TEST(FaultInjector, StaleEndpoints503DuringOutageThenRecover) {
 
   std::optional<int> during;
   std::optional<int> after;
-  bed.loop.schedule_at(milliseconds(15), [&] {
+  bed.loop.post_at(milliseconds(15), [&] {
     mesh.send_request(bed.request_to_backend(),
                       [&](mesh::RequestResult r) { during = r.status; });
   });
-  bed.loop.schedule_at(milliseconds(40), [&] {
+  bed.loop.post_at(milliseconds(40), [&] {
     mesh.send_request(bed.request_to_backend(),
                       [&](mesh::RequestResult r) { after = r.status; });
   });
@@ -450,12 +450,12 @@ TEST(GatewayHealthMonitor, Closes503WindowFromCrashedReplicas) {
   constexpr int kProbes = 30;
   for (int i = 0; i < kProbes; ++i) {
     // Detection needs 3 failed probes (~350ms); these land before it.
-    bed.loop.schedule_at(milliseconds(60 + i), [&] {
+    bed.loop.post_at(milliseconds(60 + i), [&] {
       bed.canal->send_request(bed.request(), [&](mesh::RequestResult r) {
         if (!r.ok()) ++failures_before_eviction;
       });
     });
-    bed.loop.schedule_at(milliseconds(600 + i), [&] {
+    bed.loop.post_at(milliseconds(600 + i), [&] {
       bed.canal->send_request(bed.request(), [&](mesh::RequestResult r) {
         if (!r.ok()) ++failures_after_eviction;
       });

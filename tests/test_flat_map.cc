@@ -5,7 +5,9 @@
 // unique_ptr-value pattern the telemetry registry relies on).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +74,38 @@ TEST(FlatHashMap, TombstoneSlotsAreReusedWithoutGrowth) {
   EXPECT_EQ(map.bucket_count(), cap)
       << "steady churn must not grow the table";
   for (int i = 0; i < 64; ++i) EXPECT_EQ(map.find(i)->second, i + 99);
+}
+
+TEST(FlatHashMap, RandomChurnMatchesReference) {
+  // Erase returns a slot to empty (with the tombstones before it) when no
+  // probe chain can cross it. A small key space in a small table keeps
+  // chains long and wrapping, so any wrongly emptied slot would strand a
+  // key; every step is checked against a reference map.
+  FlatHashMap<int, int> map;
+  std::map<int, int> reference;
+  std::mt19937 rng(7);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = static_cast<int>(rng() % 48);
+    if (rng() % 2 == 0) {
+      map[key] = step;
+      reference[key] = step;
+    } else {
+      EXPECT_EQ(map.erase(key), reference.erase(key)) << step;
+    }
+    ASSERT_EQ(map.size(), reference.size()) << step;
+    if (step % 97 == 0) {
+      for (int k = 0; k < 48; ++k) {
+        const auto it = reference.find(k);
+        const auto found = map.find(k);
+        if (it == reference.end()) {
+          ASSERT_TRUE(found == map.end()) << "step " << step << " key " << k;
+        } else {
+          ASSERT_TRUE(found != map.end()) << "step " << step << " key " << k;
+          ASSERT_EQ(found->second, it->second);
+        }
+      }
+    }
+  }
 }
 
 TEST(FlatHashMap, RehashPreservesAllEntries) {

@@ -21,6 +21,32 @@ TEST(HeaderMap, CaseInsensitiveLookup) {
   EXPECT_FALSE(headers.get("content-length").has_value());
 }
 
+TEST(HeaderMap, IequalsFoldsAsciiLettersOnly) {
+  const std::string upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  const std::string lower = "abcdefghijklmnopqrstuvwxyz";
+  EXPECT_TRUE(iequals(upper, lower));
+  EXPECT_TRUE(iequals("Content-Type", "content-TYPE"));
+  EXPECT_FALSE(iequals("Content-Type", "Content-Typo"));
+  EXPECT_FALSE(iequals("abc", "abcd"));
+  // Neighbours of the letter ranges differ by the same 0x20 bit but are not
+  // letters: they must not fold.
+  EXPECT_FALSE(iequals("@", "`"));
+  EXPECT_FALSE(iequals("[", "{"));
+  EXPECT_FALSE(iequals("^", "~"));
+  // Bytes >= 0x80 compare exactly: Latin-1 0xC4 and 0xE4 differ by 0x20
+  // like an ASCII case pair, yet stay distinct.
+  for (int b = 0x80; b <= 0xff; ++b) {
+    const std::string byte(1, static_cast<char>(b));
+    EXPECT_TRUE(iequals(byte, byte)) << b;
+    const std::string other(1, static_cast<char>(b ^ 0x20));
+    EXPECT_FALSE(iequals(byte, other)) << b;
+  }
+  HeaderMap headers;
+  headers.set("X-Tenant", "a");
+  EXPECT_EQ(headers.get("x-tenant"), "a");
+  EXPECT_FALSE(headers.get("x-t\xc5nant").has_value());
+}
+
 TEST(HeaderMap, SetReplacesAll) {
   HeaderMap headers;
   headers.add("X-Tag", "a");

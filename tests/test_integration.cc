@@ -487,7 +487,7 @@ TEST_P(WorkloadSweep, CanalNeverLosesRequestsBelowSaturation) {
   for (int i = 0; i < 300; ++i) {
     const auto at =
         start + static_cast<sim::Duration>(rng.uniform(0, 2e9));
-    world.loop.schedule_at(at, [&] {
+    world.loop.post_at(at, [&] {
       mesh::RequestOptions opts;
       opts.client = world.client;
       opts.dst_service = world.api->id;

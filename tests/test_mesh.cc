@@ -318,7 +318,7 @@ TEST(Comparative, IstioSaturatesBeforeAmbient) {
     const sim::Duration spacing = sim::microseconds(500);  // 2000 RPS
     const sim::TimePoint start = bed.loop.now();
     for (int i = 0; i < kRequests; ++i) {
-      bed.loop.schedule_at(start + i * spacing, [&, i] {
+      bed.loop.post_at(start + i * spacing, [&, i] {
         RequestOptions opts = bed.request_to_backend();
         opts.new_connection = false;
         mesh.send_request(opts, [&](RequestResult r) {

@@ -345,9 +345,9 @@ TEST(Engine, HandshakeExecutorOncePerNewConnection) {
   auto engine = fx.make_engine(true, /*mtls=*/true);
   EngineFixture::install_default_route(*engine);
   int handshakes = 0;
-  engine->set_handshake_executor([&](std::function<void()> done) {
+  engine->set_handshake_executor([&](sim::Callback done) {
     ++handshakes;
-    fx.loop.schedule(sim::milliseconds(1), std::move(done));
+    fx.loop.post(sim::milliseconds(1), std::move(done));
   });
   http::Request req1, req2, req3;
   engine->handle_request(tuple_of(1), kService, true, req1,

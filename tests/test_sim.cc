@@ -33,9 +33,9 @@ TEST(Time, FormatPicksUnit) {
 TEST(EventLoop, RunsEventsInTimeOrder) {
   EventLoop loop;
   std::vector<int> order;
-  loop.schedule(microseconds(30), [&] { order.push_back(3); });
-  loop.schedule(microseconds(10), [&] { order.push_back(1); });
-  loop.schedule(microseconds(20), [&] { order.push_back(2); });
+  loop.post(microseconds(30), [&] { order.push_back(3); });
+  loop.post(microseconds(10), [&] { order.push_back(1); });
+  loop.post(microseconds(20), [&] { order.push_back(2); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now(), microseconds(30));
@@ -44,18 +44,27 @@ TEST(EventLoop, RunsEventsInTimeOrder) {
 TEST(EventLoop, TieBrokenByInsertionOrder) {
   EventLoop loop;
   std::vector<int> order;
+  std::vector<EventHandle> handles;
+  // schedule and post draw sequence numbers from the same counter, so
+  // interleaving them keeps insertion order.
   for (int i = 0; i < 10; ++i) {
-    loop.schedule(microseconds(5), [&order, i] { order.push_back(i); });
+    if (i % 2 == 0) {
+      handles.push_back(
+          loop.schedule(microseconds(5), [&order, i] { order.push_back(i); }));
+    } else {
+      loop.post(microseconds(5), [&order, i] { order.push_back(i); });
+    }
   }
   loop.run();
+  ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventLoop, RunUntilStopsAtDeadline) {
   EventLoop loop;
   int fired = 0;
-  loop.schedule(microseconds(10), [&] { ++fired; });
-  loop.schedule(microseconds(30), [&] { ++fired; });
+  loop.post(microseconds(10), [&] { ++fired; });
+  loop.post(microseconds(30), [&] { ++fired; });
   loop.run_until(microseconds(20));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.now(), microseconds(20));
@@ -74,11 +83,107 @@ TEST(EventLoop, CancelPreventsExecution) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(EventHandle, NotPendingAfterFireOrCancel) {
+  EventLoop loop;
+  EventHandle fired = loop.schedule(microseconds(10), [] {});
+  EventHandle cancelled = loop.schedule(microseconds(10), [] {});
+  EXPECT_TRUE(fired.pending());
+  EXPECT_TRUE(cancelled.pending());
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(fired.pending());
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_FALSE(fired.pending());
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_FALSE(EventHandle{}.pending());
+}
+
+TEST(EventHandle, CancelAfterFireIsNoOp) {
+  EventLoop loop;
+  int fired = 0;
+  EventHandle handle = loop.schedule(microseconds(10), [&] { ++fired; });
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  handle.cancel();
+  handle.cancel();
+  EXPECT_FALSE(handle.pending());
+  // The loop still schedules and runs normally afterwards.
+  loop.post(microseconds(10), [&] { ++fired; });
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventHandle, StaleHandleCannotTouchReusedSlot) {
+  // With one event in flight at a time the slab has a single slot, so each
+  // new event reuses the slot the stale handle names.
+  EventLoop loop;
+  int first = 0;
+  int second = 0;
+  int third = 0;
+  EventHandle stale = loop.schedule(microseconds(10), [&] { ++first; });
+  loop.run();
+  EventHandle fresh = loop.schedule(microseconds(10), [&] { ++second; });
+  EXPECT_FALSE(stale.pending());
+  EXPECT_TRUE(fresh.pending());
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  loop.run();
+  EXPECT_EQ(second, 1);
+
+  // A cancelled handle is just as stale once its key has popped.
+  fresh = loop.schedule(microseconds(10), [&] { ++second; });
+  fresh.cancel();
+  loop.run();
+  EventHandle reuse = loop.schedule(microseconds(10), [&] { ++third; });
+  fresh.cancel();
+  stale.cancel();
+  EXPECT_FALSE(fresh.pending());
+  EXPECT_TRUE(reuse.pending());
+  loop.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(third, 1);
+}
+
+TEST(EventHandle, SelfCancelInsideCallbackRunsOnce) {
+  EventLoop loop;
+  int runs = 0;
+  EventHandle handle;
+  handle = loop.schedule(microseconds(10), [&] {
+    ++runs;
+    EXPECT_FALSE(handle.pending());
+    handle.cancel();
+  });
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(runs, 1);
+  // Same-tick events take the bucket path rather than the heap.
+  handle = loop.schedule(0, [&] {
+    ++runs;
+    handle.cancel();
+  });
+  EXPECT_EQ(loop.run(), 1u);
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(EventHandle, CancelFromSameTickSibling) {
+  EventLoop loop;
+  std::vector<int> order;
+  EventHandle second;
+  loop.post(0, [&] {
+    order.push_back(1);
+    second.cancel();
+  });
+  second = loop.schedule(0, [&] { order.push_back(2); });
+  loop.post(0, [&] { order.push_back(3); });
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
 TEST(EventLoop, NestedScheduling) {
   EventLoop loop;
   TimePoint inner_fired = -1;
-  loop.schedule(microseconds(10), [&] {
-    loop.schedule(microseconds(5), [&] { inner_fired = loop.now(); });
+  loop.post(microseconds(10), [&] {
+    loop.post(microseconds(5), [&] { inner_fired = loop.now(); });
   });
   loop.run();
   EXPECT_EQ(inner_fired, microseconds(15));
@@ -88,7 +193,7 @@ TEST(EventLoop, PastDeadlineClampedToNow) {
   EventLoop loop;
   loop.run_until(microseconds(100));
   TimePoint fired_at = -1;
-  loop.schedule_at(microseconds(50), [&] { fired_at = loop.now(); });
+  loop.post_at(microseconds(50), [&] { fired_at = loop.now(); });
   loop.run();
   EXPECT_EQ(fired_at, microseconds(100));
 }
@@ -114,6 +219,31 @@ TEST(PeriodicTimer, StopHalts) {
   timer.stop();
   loop.run_until(milliseconds(100));
   EXPECT_EQ(ticks, 2);
+}
+
+TEST(PeriodicTimer, StopThenStartResumes) {
+  EventLoop loop;
+  int ticks = 0;
+  PeriodicTimer timer(loop, microseconds(10), [&] { ++ticks; });
+  timer.start();
+  loop.run_until(microseconds(25));  // ticks at 0, 10, 20
+  EXPECT_EQ(ticks, 3);
+  timer.stop();
+  EXPECT_FALSE(timer.running());
+  loop.run_until(microseconds(50));
+  EXPECT_EQ(ticks, 3);
+  timer.start(microseconds(5));  // ticks at 55, 65
+  EXPECT_TRUE(timer.running());
+  loop.run_until(microseconds(70));
+  EXPECT_EQ(ticks, 5);
+  EXPECT_TRUE(timer.running());
+  // Restarting while armed replaces the pending tick instead of adding one.
+  timer.start(microseconds(1));
+  loop.run_until(microseconds(75));  // ticks at 71 only
+  EXPECT_EQ(ticks, 6);
+  timer.stop();
+  loop.run();
+  EXPECT_EQ(ticks, 6);
 }
 
 TEST(Rng, DeterministicFromSeed) {
@@ -434,7 +564,7 @@ TEST_P(CpuLoadSweep, UtilizationTracksOfferedLoad) {
   while (t < seconds(10)) {
     t += static_cast<Duration>(rng.exponential(1.0 / rate_per_s) *
                                static_cast<double>(kSecond));
-    loop.schedule_at(t, [&core] { core.execute(microseconds(100)); });
+    loop.post_at(t, [&core] { core.execute(microseconds(100)); });
   }
   loop.run();
   loop.run_until(std::max<TimePoint>(loop.now(), seconds(10)));

@@ -1,12 +1,15 @@
-// Steady-state allocation discipline of the Canal fastpath (DESIGN.md §14).
+// Steady-state allocation discipline of the Canal request path (DESIGN.md
+// §14).
 //
 // Referencing sim::alloc_count() links the counting operator new/delete
 // from sim/alloc_hook.cc into this binary, so every global-heap allocation
-// on this thread is observable. The contract under test: after a short
+// on this thread is observable. The contracts under test: after a short
 // warm-up (pools filled, flat tables sized, fastpath caches populated,
 // scratch buffers grown), repeat requests on an established connection
 // perform ZERO global-heap allocations — a hard zero over 1k requests,
-// not a budget.
+// not a budget — and requests that each open a fresh mTLS connection
+// (session insert and remove, route miss, mTLS handshakes, at least one
+// signed through the key server) stay within one allocation per request.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,6 +22,7 @@
 #include "mesh/dataplane.h"
 #include "sim/alloc_hook.h"
 #include "sim/event_loop.h"
+#include "sim/flat_map.h"
 
 namespace canal::core {
 namespace {
@@ -76,6 +80,19 @@ struct ZeroAllocTestbed {
     opts.src_port = 40000;
     opts.new_connection = first;
     opts.close_after = false;
+    return opts;
+  }
+
+  /// A fresh mTLS connection per request, closed after it: the session
+  /// tables insert and remove, the route caches miss, and the on-node hops
+  /// handshake (AZ 0's through its key server).
+  mesh::RequestOptions churn_request(std::uint16_t port) const {
+    mesh::RequestOptions opts;
+    opts.client = frontend->endpoints.front();
+    opts.dst_service = backend_svc->id;
+    opts.src_port = port;
+    opts.new_connection = true;
+    opts.close_after = true;
     return opts;
   }
 
@@ -150,6 +167,78 @@ TEST(ZeroAlloc, WarmPathStaysFreeAcrossTrafficBursts) {
     ASSERT_EQ(burst(32), 32);
   }
   EXPECT_EQ(sim::alloc_count() - before, 0u);
+}
+
+TEST(ZeroAlloc, ConnectionChurnStaysUnderOneAllocationPerRequest) {
+  ZeroAllocTestbed bed;
+  const crypto::KeyServer& server = *bed.key_server;
+  // Bursts of 8 concurrent connections on rotating source ports: each burst
+  // fills one accelerator batch, and the session tables see interleaved
+  // inserts and removes of distinct flows.
+  constexpr int kBurst = 8;
+  constexpr int kPorts = 64;
+  int next_port = 0;
+  auto burst = [&] {
+    int ok = 0;
+    for (int i = 0; i < kBurst; ++i) {
+      const auto port = static_cast<std::uint16_t>(41000 + next_port);
+      next_port = (next_port + 1) % kPorts;
+      bed.canal->send_request(bed.churn_request(port),
+                              [&ok](mesh::RequestResult r) {
+                                if (r.status == 200) ++ok;
+                              });
+    }
+    bed.loop.run();
+    return ok;
+  };
+  // Warm-up: pools, flat tables, windowed rings and scratch buffers reach
+  // their working size.
+  while (bed.loop.now() < sim::hours(1)) {
+    ASSERT_EQ(burst(), kBurst);
+  }
+
+  if (std::getenv("CANAL_ALLOC_BACKTRACE") != nullptr) {
+    sim::alloc_backtrace_arm(24);
+  }
+  const std::uint64_t served_before = server.requests_served();
+  const std::uint64_t allocs_before = sim::alloc_count();
+  constexpr int kRequests = 1000;
+  for (int i = 0; i < kRequests / kBurst; ++i) {
+    ASSERT_EQ(burst(), kBurst);
+  }
+  const std::uint64_t allocs = sim::alloc_count() - allocs_before;
+  // The handshakes really went through the key server.
+  EXPECT_GE(server.requests_served() - served_before,
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_LE(allocs, static_cast<std::uint64_t>(kRequests))
+      << "connection churn hit the global heap " << allocs << " times over "
+      << kRequests << " requests";
+}
+
+TEST(ZeroAlloc, FlatHashMapChurnPurgesInPlace) {
+  // Insert/erase churn near the load ceiling leaves tombstones that no
+  // erase can clear, so the table purges them; the purge must reuse its
+  // arrays. 48-56 live keys keep a 64-slot table at the ceiling.
+  sim::FlatHashMap<std::uint64_t, std::uint64_t> map;
+  std::uint64_t next = 0;
+  std::uint64_t oldest = 0;
+  auto step = [&] {
+    map[next] = next;
+    ++next;
+    if (map.size() > 48 + next % 9) {
+      EXPECT_EQ(map.erase(oldest), 1u);
+      ++oldest;
+    }
+  };
+  for (int i = 0; i < 1000; ++i) step();
+  const std::size_t buckets = map.bucket_count();
+  const std::uint64_t before = sim::alloc_count();
+  for (int i = 0; i < 10000; ++i) step();
+  EXPECT_EQ(sim::alloc_count() - before, 0u);
+  EXPECT_EQ(map.bucket_count(), buckets);
+  for (std::uint64_t k = oldest; k < next; ++k) {
+    ASSERT_TRUE(map.contains(k)) << k;
+  }
 }
 
 TEST(ZeroAlloc, AllocHookCountsThisThread) {
