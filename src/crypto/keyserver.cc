@@ -63,12 +63,9 @@ void KeyServer::handle_sign(const std::string& requester_id,
                             std::string_view transcript, SignCallback done) {
   SignOp* op = ops_.acquire();
   op->done = std::move(done);
-  if (!available_ || !has_channel(requester_id)) {
-    ++rejected_;
-    loop_.post(0, [this, op] { finish(op, std::nullopt); });
-    return;
-  }
-  const auto key = decrypt_key(identity);
+  const auto key = available_ && has_channel(requester_id)
+                       ? decrypt_key(identity)
+                       : std::nullopt;
   if (!key) {
     ++rejected_;
     loop_.post(0, [this, op] { finish(op, std::nullopt); });
