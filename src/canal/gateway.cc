@@ -277,12 +277,8 @@ void GatewayBackend::handle_request(const net::FiveTuple& tuple,
 
   GatewayReplica* target = nullptr;
   std::uint32_t hops = 0;
-  const std::size_t slot_index =
-      net::flow_hash(tuple) & (kFlowCacheSlots - 1);
-  const FlowEntry* cached =
-      flow_cache_.empty() ? nullptr : &flow_cache_[slot_index];
-  if (cached != nullptr && cached->epoch == flow_epoch_ &&
-      cached->service == service && cached->tuple == tuple) {
+  const FlowEntry* cached = flow_cache_.find(tuple, flow_epoch_);
+  if (cached != nullptr && cached->service == service) {
     // Established-flow fast path: replay the memoized single-link decision
     // (head replica, zero hops) — identical to what the chain walk below
     // would compute, since any chain/membership change moved the epoch.
@@ -341,8 +337,7 @@ void GatewayBackend::handle_request(const net::FiveTuple& tuple,
     // of SYN-ness and session placement, so replaying it is exact.
     if (table_it->second.chain(table_it->second.bucket_for(tuple)).size() ==
         1) {
-      if (flow_cache_.empty()) flow_cache_.resize(kFlowCacheSlots);
-      flow_cache_[slot_index] = FlowEntry{tuple, flow_epoch_, service, target};
+      flow_cache_.insert(tuple, flow_epoch_, FlowEntry{service, target});
     }
   }
 

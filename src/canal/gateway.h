@@ -36,6 +36,7 @@
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
 #include "sim/flat_map.h"
+#include "sim/flow_memo.h"
 
 namespace canal::core {
 
@@ -255,6 +256,10 @@ class GatewayBackend {
   [[nodiscard]] std::uint64_t fastpath_misses() const noexcept {
     return fastpath_misses_;
   }
+  /// Slots the flow memo holds now (0 until the first memoized flow).
+  [[nodiscard]] std::size_t flow_cache_slots() const noexcept {
+    return flow_cache_.slot_count();
+  }
   /// Sessions the sampling tick has dropped for idling past
   /// GatewayConfig::session_idle_timeout, summed over replicas.
   [[nodiscard]] std::uint64_t sessions_expired() const noexcept {
@@ -283,18 +288,19 @@ class GatewayBackend {
   /// session reset bumps flow_epoch_, invalidating all entries; replica
   /// liveness is still re-checked per hit. Idle expiry does not bump it:
   /// it changes only session state, which a single-link decision ignores.
-  /// Entries live in a direct-mapped slot array — insertion is
-  /// allocation-free, and a colliding flow just evicts (the evicted flow
+  /// Entries live in a sim::FlowMemo keyed by the five-tuple — insertion
+  /// is allocation-free once the memo fits the backend's live flows, and a
+  /// flow colliding in a full-size table just evicts (the evicted flow
   /// takes the slow path: a miss, never a behaviour change).
   struct FlowEntry {
-    net::FiveTuple tuple{};  ///< slot key; value-initialized = empty slot
-    std::uint64_t epoch = 0;
     net::ServiceId service{};
     GatewayReplica* replica = nullptr;
   };
 
-  /// Direct-mapped slot count (power of two); sized lazily on first insert
-  /// so backends driven only by aggregate load pay nothing.
+  /// Slot cap of the flow memo (power of two). It allocates 16 slots on
+  /// the first insert, so backends driven only by aggregate load pay
+  /// nothing, and doubles only while two live flows collide; hits and
+  /// misses equal those of a fixed kFlowCacheSlots-slot table.
   static constexpr std::size_t kFlowCacheSlots = 1 << 12;
 
   [[nodiscard]] std::vector<net::ReplicaId> alive_replica_ids() const;
@@ -344,7 +350,7 @@ class GatewayBackend {
   std::unique_ptr<sim::PeriodicTimer> sampler_;
   std::uint64_t throttled_requests_ = 0;
   std::uint32_t next_replica_ = 1;
-  std::vector<FlowEntry> flow_cache_;
+  sim::FlowMemo<net::FiveTuple, FlowEntry, kFlowCacheSlots> flow_cache_;
   sim::Pool<CallState> calls_;
   std::uint64_t flow_epoch_ = 0;
   std::uint64_t fastpath_hits_ = 0;

@@ -33,21 +33,23 @@ Service& Cluster::add_service(std::string name, bool wants_l7) {
 
 Pod& Cluster::add_pod(Service& service, AppProfile profile, Node* placement) {
   Node* node = placement;
-  if (node == nullptr) {
-    // Fewest-pods-first placement.
-    std::size_t best_count = SIZE_MAX;
-    for (const auto& n : nodes_) {
-      std::size_t count = 0;
-      for (const auto& p : pods_) {
-        if (&p->node() == n.get() && p->phase() != PodPhase::kTerminated) {
-          ++count;
-        }
-      }
-      if (count < best_count) {
-        best_count = count;
-        node = n.get();
+  if (node == nullptr && !nodes_.empty()) {
+    // Fewest-pods-first placement, ties to the earliest node. Live pods are
+    // counted in one pass: node ids run from 1 and nodes are never erased,
+    // so nodes_[id - 1] is the node (a pod placed explicitly on another
+    // cluster's node fails the identity check and is not counted).
+    std::vector<std::size_t> counts(nodes_.size(), 0);
+    for (const auto& p : pods_) {
+      const std::size_t index = net::id_value(p->node().id()) - 1;
+      if (index < nodes_.size() && nodes_[index].get() == &p->node() &&
+          p->phase() != PodPhase::kTerminated) {
+        ++counts[index];
       }
     }
+    node = nodes_[static_cast<std::size_t>(
+                      std::min_element(counts.begin(), counts.end()) -
+                      counts.begin())]
+               .get();
   }
   const auto tenant_octet =
       static_cast<std::uint8_t>(net::id_value(tenant_) & 0xFF);
@@ -74,10 +76,9 @@ void Cluster::remove_pod(net::PodId id) {
 }
 
 Pod* Cluster::find_pod(net::PodId id) {
-  for (auto& p : pods_) {
-    if (p->id() == id) return p.get();
-  }
-  return nullptr;
+  // Pod ids run from 1 and pods are never erased (terminated pods stay).
+  const std::uint64_t index = net::id_value(id) - 1;
+  return index < pods_.size() ? pods_[index].get() : nullptr;
 }
 
 Service* Cluster::find_service(net::ServiceId id) {

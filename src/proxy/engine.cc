@@ -151,15 +151,8 @@ void ProxyEngine::finish_request(const net::FiveTuple& tuple,
   UpstreamCluster* cluster = nullptr;
 
   const std::uint64_t epoch = fastpath_epoch();
-  const std::size_t slot_index = net::flow_hash(tuple) & (kFastpathSlots - 1);
-  FastpathEntry* entry = nullptr;
-  if (!fastpath_.empty()) {
-    FastpathEntry& slot = fastpath_[slot_index];
-    if (slot.epoch == epoch && slot.service == dst_service &&
-        slot.tuple == tuple) {
-      entry = &slot;
-    }
-  }
+  const FastpathEntry* entry = fastpath_.find(tuple, epoch);
+  if (entry != nullptr && entry->service != dst_service) entry = nullptr;
 
   if (config_.l7) {
     if (entry != nullptr && entry->rule != nullptr &&
@@ -219,16 +212,12 @@ void ProxyEngine::finish_request(const net::FiveTuple& tuple,
       const auto& weighted = result->rule->action.clusters;
       if (result->rule == &it->second.rules().front() &&
           weighted.size() <= FastpathEntry::kMaxClusters) {
-        if (fastpath_.empty()) fastpath_.resize(kFastpathSlots);
-        FastpathEntry& slot = fastpath_[slot_index];
-        slot.tuple = tuple;
-        slot.epoch = epoch;
-        slot.service = dst_service;
-        slot.rule = result->rule;
-        slot.cluster_count = static_cast<std::uint8_t>(weighted.size());
+        FastpathEntry memo{dst_service, result->rule, {},
+                           static_cast<std::uint8_t>(weighted.size())};
         for (std::size_t i = 0; i < weighted.size(); ++i) {
-          slot.clusters[i] = clusters_.find(weighted[i].cluster);
+          memo.clusters[i] = clusters_.find(weighted[i].cluster);
         }
+        fastpath_.insert(tuple, epoch, memo);
       }
     }
   } else {
@@ -254,14 +243,8 @@ void ProxyEngine::finish_request(const net::FiveTuple& tuple,
       cluster = clusters_.find(
           std::string_view(name, static_cast<std::size_t>(digits.ptr - name)));
       if (cluster != nullptr) {
-        if (fastpath_.empty()) fastpath_.resize(kFastpathSlots);
-        FastpathEntry& slot = fastpath_[slot_index];
-        slot.tuple = tuple;
-        slot.epoch = epoch;
-        slot.service = dst_service;
-        slot.rule = nullptr;
-        slot.clusters[0] = cluster;
-        slot.cluster_count = 1;
+        fastpath_.insert(tuple, epoch,
+                         FastpathEntry{dst_service, nullptr, {cluster}, 1});
       }
     }
     if (cluster == nullptr) {

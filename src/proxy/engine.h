@@ -13,7 +13,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "http/route.h"
 #include "net/flow.h"
@@ -26,6 +25,7 @@
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
 #include "sim/flat_map.h"
+#include "sim/flow_memo.h"
 #include "sim/rng.h"
 #include "telemetry/trace.h"
 
@@ -156,6 +156,10 @@ class ProxyEngine {
   [[nodiscard]] std::uint64_t fastpath_misses() const noexcept {
     return fastpath_misses_;
   }
+  /// Slots the fastpath memo holds now (0 until the first memoized flow).
+  [[nodiscard]] std::size_t fastpath_slots() const noexcept {
+    return fastpath_.slot_count();
+  }
 
  private:
   /// Per-flow memo of the routing decision: the matched first rule (L7)
@@ -164,12 +168,12 @@ class ProxyEngine {
   /// is ever cached and its match is re-verified per request, so
   /// first-match-wins semantics (and the exact RNG draw sequence) are
   /// preserved — a hit changes wall-clock work only, never simulated
-  /// behaviour. Entries live in a direct-mapped slot array: insertion is
-  /// allocation-free and a colliding flow simply evicts (the evicted flow
-  /// falls back to the slow path — a miss, never a behaviour change).
+  /// behaviour. Entries live in a sim::FlowMemo keyed by the five-tuple:
+  /// insertion is allocation-free once the memo has grown to fit the
+  /// engine's live flows, and a flow colliding in a full-size table simply
+  /// evicts (the evicted flow falls back to the slow path — a miss, never
+  /// a behaviour change). The same tuple for another service overwrites.
   struct FastpathEntry {
-    net::FiveTuple tuple{};  ///< slot key; value-initialized = empty slot
-    std::uint64_t epoch = 0;
     net::ServiceId service{};
     const http::RouteRule* rule = nullptr;  ///< null for L4 entries
     /// Aligned with rule->action.clusters (L7) or a single slot (L4).
@@ -181,9 +185,11 @@ class ProxyEngine {
     std::uint8_t cluster_count = 0;
   };
 
-  /// Direct-mapped slot count (power of two). The array is sized lazily on
-  /// first insert so idle engines (e.g. aggregate-load replicas) pay
-  /// nothing.
+  /// Slot cap of the fastpath memo (power of two). The memo allocates 16
+  /// slots on the first insert, so idle engines (e.g. aggregate-load
+  /// replicas) pay nothing, and doubles only while two live flows collide:
+  /// an engine holds slots in proportion to its flows, and every hit and
+  /// miss equals that of a fixed kFastpathSlots-slot table.
   static constexpr std::size_t kFastpathSlots = 1 << 12;
 
   /// Pooled per-call state (DESIGN.md §14): request/inbound continuations
@@ -246,7 +252,7 @@ class ProxyEngine {
   std::uint64_t handshakes_ = 0;
   std::uint64_t bytes_proxied_ = 0;
 
-  std::vector<FastpathEntry> fastpath_;
+  sim::FlowMemo<net::FiveTuple, FastpathEntry, kFastpathSlots> fastpath_;
   sim::Pool<CallState> calls_;
   std::uint64_t route_epoch_ = 0;
   std::uint64_t fastpath_hits_ = 0;

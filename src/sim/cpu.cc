@@ -49,28 +49,29 @@ double CpuCore::utilization(Duration window) const {
   const TimePoint lo = hi - window;
   // Intervals are appended in nondecreasing (start, end) order and are
   // disjoint, so the window's overlap set is the contiguous index range
-  // [first, last): binary-search both ends, then read the busy total out
-  // of the prefix-sum column and clip the two boundary intervals — only
-  // the first can start before `lo` and only the last can end after `hi`.
-  // Pure integer arithmetic, so the result is bit-identical to the old
-  // linear accumulation.
+  // [first, n): binary-search its start, then read the busy total out of
+  // the prefix-sum column and clip the two boundary intervals — only the
+  // first can start before `lo` and only the last can end after `hi`.
+  // The range always runs to the end: an interval opens at the `now` of
+  // the execute() that starts it (work queued behind a busy core coalesces
+  // into the back interval), so none starts after `hi`, and one starting
+  // exactly at `hi` is clipped to nothing. Pure integer arithmetic, so the
+  // result is bit-identical to the old linear accumulation. A window
+  // reaching past the oldest retained interval — the common case for long
+  // scoring windows — needs no search at all.
   const std::size_t n = intervals_.size();
   std::size_t first = 0;
-  for (std::size_t step = n; step > 0; step /= 2) {  // first with end > lo
-    while (first + step <= n && intervals_[first + step - 1].end <= lo) {
-      first += step;
+  if (n > 0 && intervals_.front().end <= lo) {
+    for (std::size_t step = n; step > 0; step /= 2) {  // first with end > lo
+      while (first + step <= n && intervals_[first + step - 1].end <= lo) {
+        first += step;
+      }
     }
   }
-  std::size_t last = first;
-  for (std::size_t step = n; step > 0; step /= 2) {  // first with start >= hi
-    while (last + step <= n && intervals_[last + step - 1].start < hi) {
-      last += step;
-    }
-  }
-  if (first >= last) return 0.0;
-  Duration busy = cum_[last - 1] - (first == 0 ? dropped_cum_ : cum_[first - 1]);
+  if (first >= n) return 0.0;
+  Duration busy = cum_.back() - (first == 0 ? dropped_cum_ : cum_[first - 1]);
   if (intervals_[first].start < lo) busy -= lo - intervals_[first].start;
-  if (intervals_[last - 1].end > hi) busy -= intervals_[last - 1].end - hi;
+  if (intervals_.back().end > hi) busy -= intervals_.back().end - hi;
   return static_cast<double>(busy) / static_cast<double>(window);
 }
 

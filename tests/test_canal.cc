@@ -4,7 +4,10 @@
 // aggregation, in-phase migration, cost model, population model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "canal/canal_mesh.h"
 #include "canal/cost_model.h"
@@ -15,6 +18,7 @@
 #include "canal/population.h"
 #include "canal/scaling.h"
 #include "canal/sharding.h"
+#include "tests/testutil.h"
 
 namespace canal::core {
 namespace {
@@ -322,6 +326,123 @@ TEST(Gateway, ConfigBytesScaleWithPlacement) {
   EXPECT_FALSE(targets.empty());
   // Far fewer targets than an Istio-style per-pod push.
   EXPECT_LE(targets.size(), bed.gateway->all_backends().size());
+}
+
+// ---- Gateway flow memo growth -------------------------------------------
+
+// Drives one backend through `flows` seeded flows, bumping its flow epoch
+// every couple of requests per flow in rotation — a replica crash and
+// revival, a service re-install, a session reset — and compares every
+// request's hit or miss with a fixed 4096-slot direct-mapped table, the
+// layout the growable memo replaced. Returns the memo's final size.
+std::size_t check_flow_memo_against_reference(std::uint32_t flows,
+                                              std::uint64_t seed) {
+  GatewayTestbed bed;
+  const net::ServiceId service = bed.backend_svc->id;
+  GatewayBackend& backend = *bed.gateway->placement_of(service).front();
+  const lb::BucketTable* table = backend.bucket_table(service);
+  EXPECT_NE(table, nullptr);
+  if (table == nullptr) return 0;
+
+  testutil::FullSizeFlowTable<net::FiveTuple> reference;
+  std::uint64_t epoch = 0;
+  const auto flow = [&](std::uint32_t i) {
+    return net::FiveTuple{net::Ipv4Addr(0x0A070000u + i),
+                          mesh::service_vip(service), 9999, 443,
+                          net::Protocol::kTcp};
+  };
+
+  sim::Rng rng(seed);
+  std::vector<bool> open(flows, false);
+  const std::size_t period = 2 * flows + 50;
+  const std::size_t steps = 8 * period;
+  std::size_t hits = 0;
+  for (std::size_t step = 1; step <= steps; ++step) {
+    if (step % period == 0) {
+      switch ((step / period) % 3) {
+        case 0: {
+          const net::ReplicaId replica = backend.replica(0)->id();
+          backend.crash_replica(replica);
+          backend.revive_replica(replica);
+          ++epoch;
+          break;
+        }
+        case 1:
+          backend.install_service(*bed.backend_svc);
+          ++epoch;
+          break;
+        default:
+          if (backend.reset_service_sessions(service) > 0) ++epoch;
+          std::fill(open.begin(), open.end(), false);
+          break;
+      }
+      continue;
+    }
+    const auto i =
+        static_cast<std::uint32_t>(rng.uniform_int(0, flows - 1));
+    const net::FiveTuple tuple = flow(i);
+    const std::uint64_t hits_before = backend.fastpath_hits();
+    http::Request req;
+    req.path = "/api";
+    std::optional<GatewayOutcome> outcome;
+    backend.handle_request(tuple, service, /*new_connection=*/!open[i],
+                           /*https=*/false, req,
+                           [&](GatewayOutcome o) { outcome = o; });
+    bed.loop.run();
+    open[i] = true;
+    EXPECT_TRUE(outcome.has_value() && outcome->ok);
+    const bool hit = backend.fastpath_hits() != hits_before;
+
+    const bool want = reference.find(tuple, epoch) != nullptr;
+    if (hit != want) {
+      ADD_FAILURE() << "flows " << flows << " step " << step << ": backend "
+                    << (hit ? "hit" : "missed");
+      return backend.flow_cache_slots();
+    }
+    // Only single-link chains are memoized.
+    if (!want && table->chain(table->bucket_for(tuple)).size() == 1) {
+      reference.insert(tuple, epoch);
+    }
+    if (hit) ++hits;
+  }
+  EXPECT_GT(hits, 0u);
+  return backend.flow_cache_slots();
+}
+
+TEST(GatewayFlowMemo, HitsAndMissesMatchFullSizeTable) {
+  for (const std::uint32_t flows : {3u, 40u, 700u, 5000u}) {
+    const std::size_t slots =
+        check_flow_memo_against_reference(flows, 2000 + flows);
+    EXPECT_GE(slots, 16u);
+    EXPECT_LE(slots, 4096u);
+    if (flows == 5000) {
+      EXPECT_EQ(slots, 4096u);
+    }
+  }
+}
+
+TEST(GatewayFlowMemo, PinnedFlowsKeepTheMemoSmall) {
+  GatewayTestbed bed;
+  const net::ServiceId service = bed.backend_svc->id;
+  GatewayBackend& backend = *bed.gateway->placement_of(service).front();
+  EXPECT_EQ(backend.flow_cache_slots(), 0u);  // nothing memoized yet
+  for (int round = 0; round < 20; ++round) {
+    if (round % 10 == 9) backend.install_service(*bed.backend_svc);
+    for (std::uint16_t port = 1; port <= 8; ++port) {
+      const net::FiveTuple tuple{net::Ipv4Addr(10, 7, 0, 1),
+                                 mesh::service_vip(service), port, 443,
+                                 net::Protocol::kTcp};
+      http::Request req;
+      req.path = "/api";
+      int status = 0;
+      backend.handle_request(tuple, service, round == 0, /*https=*/false, req,
+                             [&](GatewayOutcome o) { status = o.status; });
+      bed.loop.run();
+      EXPECT_EQ(status, 200);
+    }
+  }
+  EXPECT_GT(backend.fastpath_hits(), 0u);
+  EXPECT_LE(backend.flow_cache_slots(), 64u);
 }
 
 // ---- Precise scaling -------------------------------------------------------

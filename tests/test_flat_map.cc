@@ -2,7 +2,9 @@
 // the sorted-vector ordered map/set. Focus areas: tombstoned erase and
 // tombstone reuse, in-place and growing rehash, heterogeneous string_view
 // lookup, iteration-order guarantees, and move-only mapped types (the
-// unique_ptr-value pattern the telemetry registry relies on).
+// unique_ptr-value pattern the telemetry registry relies on). Also the
+// direct-mapped flow memo (sim/flow_memo.h): growth only on live
+// collisions, and hit-for-hit agreement with a full-size table.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "sim/flat_map.h"
+#include "sim/flow_memo.h"
+#include "tests/testutil.h"
 
 namespace canal::sim {
 namespace {
@@ -214,6 +218,117 @@ TEST(FlatOrderedSet, SortedUniqueMembership) {
   EXPECT_EQ(set.erase(2), 1u);
   EXPECT_EQ(set.erase(2), 0u);
   EXPECT_FALSE(set.contains(2));
+}
+
+
+// ---- FlowMemo --------------------------------------------------------------
+
+// Identity hash: a key's slot is key mod size, so tests can place
+// collisions exactly.
+struct IdentityHash {
+  std::size_t operator()(std::uint64_t key) const noexcept { return key; }
+};
+using SmallMemo = FlowMemo<std::uint64_t, int, 64, IdentityHash>;
+
+TEST(FlowMemo, AllocatesSixteenSlotsOnFirstInsert) {
+  SmallMemo memo;
+  EXPECT_EQ(memo.slot_count(), 0u);
+  EXPECT_EQ(memo.find(1, 0), nullptr);
+  memo.insert(1, 0, 10);
+  EXPECT_EQ(memo.slot_count(), 16u);
+  ASSERT_NE(memo.find(1, 0), nullptr);
+  EXPECT_EQ(*memo.find(1, 0), 10);
+  EXPECT_EQ(memo.find(1, 1), nullptr);  // another epoch never matches
+  // An empty slot matches nothing, not even the value-initialized key at
+  // epoch 0.
+  EXPECT_EQ(memo.find(0, 0), nullptr);
+}
+
+TEST(FlowMemo, GrowsOnlyWhileLiveFlowsCollide) {
+  SmallMemo memo;
+  memo.insert(1, 0, 10);
+  memo.insert(17, 0, 170);  // same slot as 1 at 16, not at 32
+  EXPECT_EQ(memo.slot_count(), 32u);
+  ASSERT_NE(memo.find(1, 0), nullptr);
+  ASSERT_NE(memo.find(17, 0), nullptr);
+  EXPECT_EQ(*memo.find(1, 0), 10);
+  EXPECT_EQ(*memo.find(17, 0), 170);
+  // 65 shares 1's slot at every size up to the cap: the memo grows to the
+  // cap, then evicts exactly as a full-size table would.
+  memo.insert(65, 0, 650);
+  EXPECT_EQ(memo.slot_count(), 64u);
+  EXPECT_EQ(memo.find(1, 0), nullptr);
+  ASSERT_NE(memo.find(65, 0), nullptr);
+  ASSERT_NE(memo.find(17, 0), nullptr);
+  // At the cap a further collision evicts without growing.
+  memo.insert(129, 0, 1290);
+  EXPECT_EQ(memo.slot_count(), 64u);
+  EXPECT_EQ(memo.find(65, 0), nullptr);
+  ASSERT_NE(memo.find(129, 0), nullptr);
+}
+
+TEST(FlowMemo, EmptyStaleOrSameKeySlotIsOverwrittenInPlace) {
+  SmallMemo memo;
+  memo.insert(1, 0, 10);
+  // Slot 0 is empty and its value-initialized key is 0 at epoch 0: not a
+  // live flow, so 16 takes it without growth.
+  memo.insert(16, 0, 160);
+  EXPECT_EQ(memo.slot_count(), 16u);
+  // The same key overwrites its own entry.
+  memo.insert(1, 0, 11);
+  EXPECT_EQ(memo.slot_count(), 16u);
+  EXPECT_EQ(*memo.find(1, 0), 11);
+  // After an epoch bump 1's entry is stale: 17 overwrites it.
+  memo.insert(17, 1, 170);
+  EXPECT_EQ(memo.slot_count(), 16u);
+  EXPECT_EQ(memo.find(1, 1), nullptr);
+  EXPECT_EQ(*memo.find(17, 1), 170);
+}
+
+TEST(FlowMemo, RehashCarriesOnlyLiveEntries) {
+  SmallMemo memo;
+  memo.insert(2, 0, 20);
+  memo.insert(1, 1, 10);
+  memo.insert(17, 1, 170);  // live collision at epoch 1: grows to 32
+  EXPECT_EQ(memo.slot_count(), 32u);
+  EXPECT_EQ(*memo.find(1, 1), 10);
+  EXPECT_EQ(*memo.find(17, 1), 170);
+  // Key 2 was written at epoch 0; the rehash dropped it rather than
+  // carrying a dead entry into the larger table.
+  EXPECT_EQ(memo.find(2, 0), nullptr);
+}
+
+TEST(FlowMemo, AgreesWithFullSizeTableOnEveryLookup) {
+  // Keys are random 64-bit values, so they spread over all slots; pools
+  // from a few flows to far more than 4096 make collisions at the cap
+  // certain in the larger ones.
+  for (const std::size_t flows : {3u, 8u, 100u, 1000u, 6000u}) {
+    std::mt19937_64 rng(flows);
+    std::vector<std::uint64_t> pool(flows);
+    for (auto& key : pool) key = rng();
+    FlowMemo<std::uint64_t, int, 4096> memo;
+    testutil::FullSizeFlowTable<std::uint64_t, int> full;
+    std::uint64_t epoch = 0;
+    std::size_t hits = 0;
+    for (std::size_t step = 0; step < 8 * flows + 2000; ++step) {
+      if (rng() % 997 == 0) ++epoch;
+      const std::uint64_t key = pool[rng() % flows];
+      const int* got = memo.find(key, epoch);
+      const int* want = full.find(key, epoch);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << "flows " << flows << " step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want);
+        ++hits;
+      } else {
+        const int value = static_cast<int>(step);
+        memo.insert(key, epoch, value);
+        full.insert(key, epoch, value);
+      }
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LE(memo.slot_count(), 4096u);
+  }
 }
 
 }  // namespace

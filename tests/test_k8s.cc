@@ -2,10 +2,14 @@
 // controller push/southbound accounting, health probing.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "k8s/cluster.h"
 #include "k8s/controller.h"
 #include "k8s/health.h"
 #include "k8s/objects.h"
+#include "sim/rng.h"
 
 namespace canal::k8s {
 namespace {
@@ -64,6 +68,85 @@ TEST(Cluster, PodLifecycle) {
   cluster.remove_pod(pod.id());
   EXPECT_EQ(pod.phase(), PodPhase::kTerminated);
   EXPECT_TRUE(service.endpoints.empty());
+}
+
+// The node fewest-pods-first placement must pick: the first node with the
+// fewest non-terminated pods, counted the slow way.
+const Node* naive_placement(const Cluster& cluster) {
+  const Node* best = nullptr;
+  std::size_t best_count = SIZE_MAX;
+  for (const auto& node : cluster.nodes()) {
+    std::size_t count = 0;
+    for (const auto& pod : cluster.pods()) {
+      if (&pod->node() == node.get() &&
+          pod->phase() != PodPhase::kTerminated) {
+        ++count;
+      }
+    }
+    if (count < best_count) {
+      best_count = count;
+      best = node.get();
+    }
+  }
+  return best;
+}
+
+TEST(Cluster, PlacementMatchesNaiveCountOverRandomChurn) {
+  sim::EventLoop loop;
+  Cluster cluster = make_cluster(loop, 5);
+  // A node owned by another cluster: pods placed on it explicitly count
+  // toward none of this cluster's nodes.
+  Cluster other = make_cluster(loop, 1);
+  Service& service = cluster.add_service("s");
+  sim::Rng rng(7);
+  std::size_t auto_placed = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const auto op = rng.uniform_int(0, 99);
+    if (op < 55) {
+      const Node* expected = naive_placement(cluster);
+      EXPECT_EQ(&cluster.add_pod(service, AppProfile{}).node(), expected)
+          << "step " << step;
+      ++auto_placed;
+    } else if (op < 70) {
+      Node* node = cluster.nodes()[static_cast<std::size_t>(
+                                       rng.uniform_int(0, 4))]
+                       .get();
+      EXPECT_EQ(&cluster.add_pod(service, AppProfile{}, node).node(), node);
+    } else if (op < 75) {
+      Node* foreign = other.nodes().front().get();
+      EXPECT_EQ(&cluster.add_pod(service, AppProfile{}, foreign).node(),
+                foreign);
+    } else if (!cluster.pods().empty()) {
+      const auto id = static_cast<net::PodId>(rng.uniform_int(
+          1, static_cast<std::int64_t>(cluster.pod_count())));
+      if (op < 92) {
+        cluster.remove_pod(id);  // may repeat: removing twice is a no-op
+      } else {
+        // Terminated without remove_pod, or a phase flip back.
+        cluster.find_pod(id)->set_phase(op < 96 ? PodPhase::kTerminated
+                                                : PodPhase::kRunning);
+      }
+    }
+  }
+  EXPECT_GT(auto_placed, 1000u);
+}
+
+TEST(Cluster, FindPodByIdIncludingTerminated) {
+  sim::EventLoop loop;
+  Cluster cluster = make_cluster(loop, 3);
+  Service& service = cluster.add_service("s");
+  std::vector<Pod*> pods;
+  for (int i = 0; i < 20; ++i) {
+    pods.push_back(&cluster.add_pod(service, AppProfile{}));
+  }
+  EXPECT_EQ(cluster.find_pod(static_cast<net::PodId>(0)), nullptr);
+  for (Pod* pod : pods) EXPECT_EQ(cluster.find_pod(pod->id()), pod);
+  EXPECT_EQ(cluster.find_pod(static_cast<net::PodId>(21)), nullptr);
+  EXPECT_EQ(cluster.find_pod(static_cast<net::PodId>(UINT64_MAX)), nullptr);
+  cluster.remove_pod(pods[4]->id());
+  Pod* removed = cluster.find_pod(pods[4]->id());
+  EXPECT_EQ(removed, pods[4]);
+  EXPECT_EQ(removed->phase(), PodPhase::kTerminated);
 }
 
 TEST(Cluster, UniquePodIps) {

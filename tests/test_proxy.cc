@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <vector>
 
 #include "http/route.h"
 #include "proxy/cost_model.h"
@@ -10,6 +11,8 @@
 #include "proxy/nagle.h"
 #include "proxy/session_table.h"
 #include "proxy/upstream.h"
+#include "sim/rng.h"
+#include "tests/testutil.h"
 
 namespace canal::proxy {
 namespace {
@@ -501,6 +504,144 @@ TEST(Engine, CanaryWeightedSplit) {
   }
   fx.loop.run();
   EXPECT_NEAR(canary / static_cast<double>(kN), 0.20, 0.04);
+}
+
+
+// ---- Fastpath memo growth ------------------------------------------------
+
+net::FiveTuple client_flow(std::uint32_t i) {
+  return net::FiveTuple{net::Ipv4Addr(0x0A010000u + i),
+                        net::Ipv4Addr(10, 0, 0, 2), 5555, 80,
+                        net::Protocol::kTcp};
+}
+
+http::RouteTable default_route_table() {
+  http::RouteTable table;
+  http::RouteRule rule;
+  rule.match.path_kind = http::RouteMatch::PathKind::kPrefix;
+  rule.match.path = "/";
+  rule.action.clusters = {{"pool", 1}};
+  table.add_rule(rule);
+  return table;
+}
+
+// Sends one request on `tuple`; returns whether it was a fastpath hit.
+bool fastpath_request(EngineFixture& fx, ProxyEngine& engine,
+                      const net::FiveTuple& tuple, bool new_connection) {
+  const std::uint64_t hits = engine.fastpath_hits();
+  http::Request req;
+  req.path = "/api";
+  bool ok = false;
+  engine.handle_request(tuple, kService, new_connection, req,
+                        [&](ProxyEngine::RequestOutcome o) { ok = o.ok; });
+  fx.loop.run();
+  EXPECT_TRUE(ok);
+  return engine.fastpath_hits() != hits;
+}
+
+// Drives an engine through `flows` seeded flows, bumping the fastpath
+// epoch every couple of requests per flow in rotation — a route install,
+// an endpoint change, a session drop — and compares every request's hit
+// or miss with the 4096-slot reference. Returns the memo's final size.
+std::size_t check_fastpath_against_reference(bool l7, std::uint32_t flows,
+                                             std::uint64_t seed) {
+  EngineFixture fx;
+  auto engine = fx.make_engine(l7, /*mtls=*/false, /*sessions=*/1'000'000);
+  UpstreamCluster* pool = nullptr;
+  if (l7) {
+    EngineFixture::install_default_route(*engine);
+    pool = engine->clusters().find("pool");
+  } else {
+    pool = &engine->clusters().add_cluster(
+        "service-" + std::to_string(net::id_value(kService)));
+    pool->add_endpoint({net::Ipv4Addr(10, 0, 1, 1), 8080}, 11);
+  }
+  testutil::FullSizeFlowTable<net::FiveTuple> reference;
+  std::uint64_t epoch = 0;
+  sim::Rng rng(seed);
+  std::vector<bool> open(flows, false);
+  const std::size_t period = 2 * flows + 50;
+  const std::size_t steps = 8 * period;
+  std::uint64_t endpoint_key = 100;
+  std::size_t hits = 0;
+  for (std::size_t step = 1; step <= steps; ++step) {
+    if (step % period == 0) {
+      switch ((step / period) % 3) {
+        case 0:
+          engine->set_route_table(kService, default_route_table());
+          ++epoch;
+          break;
+        case 1:
+          pool->add_endpoint({net::Ipv4Addr(10, 0, 2, 1), 8080},
+                             ++endpoint_key);
+          ++epoch;
+          break;
+        default: {
+          const auto i = static_cast<std::uint32_t>(
+              rng.uniform_int(0, flows - 1));
+          const std::uint64_t drops = engine->sessions().drop_epoch();
+          engine->close_connection(client_flow(i));
+          open[i] = false;
+          if (engine->sessions().drop_epoch() != drops) ++epoch;
+          break;
+        }
+      }
+      continue;
+    }
+    const auto i =
+        static_cast<std::uint32_t>(rng.uniform_int(0, flows - 1));
+    const net::FiveTuple tuple = client_flow(i);
+    const bool hit = fastpath_request(fx, *engine, tuple, !open[i]);
+    open[i] = true;
+    const bool want = reference.find(tuple, epoch) != nullptr;
+    if (!want) reference.insert(tuple, epoch);
+    if (hit != want) {
+      ADD_FAILURE() << (l7 ? "L7" : "L4") << " flows " << flows << " step "
+                    << step << ": engine " << (hit ? "hit" : "missed");
+      return engine->fastpath_slots();
+    }
+    if (hit) ++hits;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(engine->fastpath_hits() + engine->fastpath_misses(),
+            engine->requests_total());
+  return engine->fastpath_slots();
+}
+
+TEST(EngineFastpathMemo, HitsAndMissesMatchFullSizeTable) {
+  for (const bool l7 : {true, false}) {
+    for (const std::uint32_t flows : {3u, 40u, 700u, 5000u}) {
+      const std::size_t slots =
+          check_fastpath_against_reference(l7, flows, 1000 + flows);
+      EXPECT_GE(slots, 16u);
+      EXPECT_LE(slots, 4096u);
+      // 5000 live flows cannot fit without collisions below the cap.
+      if (flows == 5000) {
+        EXPECT_EQ(slots, 4096u);
+      }
+    }
+  }
+}
+
+TEST(EngineFastpathMemo, PinnedFlowsKeepTheMemoSmall) {
+  // Eight pinned flows on source ports 1..8: two of them share a slot at
+  // 32 slots, none at 64. Route installs between rounds leave every entry
+  // stale; re-memoizing a flow over its own stale entry must not grow.
+  EngineFixture fx;
+  auto engine = fx.make_engine();
+  EngineFixture::install_default_route(*engine);
+  EXPECT_EQ(engine->fastpath_slots(), 0u);  // nothing memoized yet
+  for (int round = 0; round < 50; ++round) {
+    if (round % 10 == 9) {
+      engine->set_route_table(kService, default_route_table());
+    }
+    for (std::uint16_t port = 1; port <= 8; ++port) {
+      fastpath_request(fx, *engine, tuple_of(port), round == 0);
+    }
+  }
+  // Round 0 and the five rounds that open with a route install miss.
+  EXPECT_EQ(engine->fastpath_hits(), 8u * (50u - 6u));
+  EXPECT_LE(engine->fastpath_slots(), 64u);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Unit tests for the simulation core: event loop, RNG, CPU model, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -628,6 +631,97 @@ TEST(CpuCore, UtilizationCorrectAfterCapPrune) {
   loop.run();
   EXPECT_NEAR(core.utilization(milliseconds(10)), 0.5, 0.01);
   EXPECT_NEAR(core.utilization(milliseconds(1)), 0.5, 0.01);
+}
+
+
+// Reference for CpuCore::utilization: the same retention rules (coalesce
+// back-to-back work, prune what ended before now - history, drop the
+// oldest beyond kMaxIntervals) with a linear overlap sum per query.
+struct NaiveCore {
+  Duration history;
+  std::deque<std::pair<TimePoint, TimePoint>> intervals;
+
+  void record(TimePoint now, TimePoint start, TimePoint end) {
+    if (end == start) return;
+    if (!intervals.empty() && intervals.back().second == start) {
+      intervals.back().second = end;
+    } else {
+      intervals.emplace_back(start, end);
+    }
+    while (!intervals.empty() && intervals.front().second < now - history) {
+      intervals.pop_front();
+    }
+    while (intervals.size() > CpuCore::kMaxIntervals) intervals.pop_front();
+  }
+
+  double utilization(TimePoint now, Duration window) const {
+    if (window <= 0) return 0.0;
+    const TimePoint lo = now - window;
+    Duration busy = 0;
+    for (const auto& [start, end] : intervals) {
+      const TimePoint from = std::max(start, lo);
+      const TimePoint to = std::min(end, now);
+      if (to > from) busy += to - from;
+    }
+    return static_cast<double>(busy) / static_cast<double>(window);
+  }
+};
+
+// Drives a core and the reference through seeded bursts of jobs (queued
+// bursts commit work past `now`) and compares every query bit for bit:
+// windows from 1 ns to far beyond the retained history. Returns how many
+// intervals the core retains at the end.
+std::size_t check_utilization_against_naive(Duration history,
+                                            std::size_t jobs,
+                                            std::size_t query_every,
+                                            std::uint64_t seed) {
+  EventLoop loop;
+  CpuCore core(loop, history);
+  NaiveCore naive{history, {}};
+  Rng rng(seed);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    // Mostly let the core go idle first (a new interval); otherwise queue
+    // behind the backlog (coalesced, committed past `now`).
+    const TimePoint idle_from = std::max(loop.now(), core.free_at());
+    loop.run_until(rng.chance(0.7)
+                       ? idle_from + rng.uniform_int(1, microseconds(3))
+                       : loop.now() + rng.uniform_int(0, microseconds(1)));
+    const Duration cost =
+        rng.chance(0.05) ? 0 : rng.uniform_int(1, microseconds(2));
+    Duration wait = 0;
+    const TimePoint end = core.execute(cost, nullptr, &wait);
+    naive.record(loop.now(), loop.now() + wait, end);
+    if (i % query_every == 0 || i + 1 == jobs) {
+      for (const Duration window :
+           {Duration{1}, rng.uniform_int(1, microseconds(50)),
+            rng.uniform_int(1, 2 * history), history, 3 * history,
+            100 * history + 7}) {
+        const double expected = naive.utilization(loop.now(), window);
+        if (core.utilization(window) != expected) {
+          ADD_FAILURE() << "seed " << seed << " job " << i << " window "
+                        << window << ": " << core.utilization(window)
+                        << " != " << expected;
+          return core.interval_count();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(core.interval_count(), naive.intervals.size());
+  return core.interval_count();
+}
+
+TEST(CpuCore, UtilizationMatchesNaiveOverlapSum) {
+  // Short history: time-based pruning keeps the retained set small, and
+  // most windows reach past all of it.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    check_utilization_against_naive(microseconds(40), 20000, 97, seed);
+  }
+  // Long history: most jobs open a new interval, so three times the cap in
+  // jobs drives pruning by the hard cap alone.
+  const Duration year = 365 * 24 * 60 * kMinute;
+  EXPECT_EQ(check_utilization_against_naive(year, 3 * CpuCore::kMaxIntervals,
+                                            997, 4),
+            CpuCore::kMaxIntervals);
 }
 
 }  // namespace

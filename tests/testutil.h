@@ -5,12 +5,19 @@
 // and a server keypair, and ready-made endpoint configs whose signers
 // borrow the fixture's RNG. The fixture must outlive any handshake built
 // from its configs (the signer lambdas capture `this`).
+//
+// FullSizeFlowTable is the reference for sim::FlowMemo: a direct-mapped
+// table fixed at the memo's 4096-slot cap, which the growable memo must
+// agree with on every lookup.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "crypto/cert.h"
 #include "crypto/handshake.h"
@@ -64,6 +71,28 @@ struct MtlsFixture {
   crypto::CertificateAuthority ca;
   crypto::KeyPair client_key;
   crypto::KeyPair server_key;
+};
+
+template <typename Key, typename Value = bool>
+struct FullSizeFlowTable {
+  static constexpr std::size_t kSlots = 4096;
+  struct Slot {
+    bool used = false;
+    Key key{};
+    std::uint64_t epoch = 0;
+    Value value{};
+  };
+  std::vector<Slot> slots = std::vector<Slot>(kSlots);
+
+  /// The value written for `key` at `epoch`, or nullptr.
+  [[nodiscard]] const Value* find(const Key& key, std::uint64_t epoch) const {
+    const Slot& slot = slots[std::hash<Key>{}(key) & (kSlots - 1)];
+    return slot.used && slot.epoch == epoch && slot.key == key ? &slot.value
+                                                              : nullptr;
+  }
+  void insert(const Key& key, std::uint64_t epoch, Value value = {}) {
+    slots[std::hash<Key>{}(key) & (kSlots - 1)] = {true, key, epoch, value};
+  }
 };
 
 }  // namespace canal::testutil
