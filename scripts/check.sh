@@ -20,6 +20,11 @@
 # BENCH_*.json goldens. This is the hard check that (a) wall-clock
 # optimisations never change simulated results and (b) the parallel runner
 # merges results by spec key, never by completion order.
+#
+# A failed configure, build or ctest stops the default path at once. After
+# ctest, every gate runs even if an earlier one failed, so one failing
+# gate (say, the host-speed selfperf gate) cannot hide the others; the run
+# ends with one line per failed gate and exits non-zero if there is any.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -75,17 +80,35 @@ else
   cmake --build "${build_dir}" -j "${jobs}"
   ctest --test-dir "${build_dir}" -j "${jobs}" --output-on-failure
 
+  # Every gate below runs even when an earlier one fails: run_gate runs a
+  # gate in a subshell with errexit on (any failing command fails it),
+  # records a failure and goes on. The summary at the end names each
+  # failed gate, and the script exits non-zero if any failed.
+  failed_gates=()
+  run_gate() {
+    local name="$1" status
+    shift
+    set +e
+    (set -e; "$@")
+    status=$?
+    set -e
+    if [[ "${status}" -ne 0 ]]; then failed_gates+=("${name}"); fi
+  }
+
   # Stable-test-identity gate: a parameterized test whose parameter type
   # has no PrintTo gets gtest's raw byte dump in its ctest name, and those
   # bytes (pointers, padding) change from build to build, so by-name test
   # comparisons across builds break.
-  test_names="$(ctest --test-dir "${build_dir}" -N)"
-  if grep 'byte object' <<< "${test_names}" >&2; then
-    echo "test-identity gate FAILED: the ctest names above embed raw" \
-      "parameter bytes; give the parameter type a PrintTo" >&2
-    exit 1
-  fi
-  echo "test-identity gate OK: no ctest name embeds raw parameter bytes"
+  test_identity_gate() {
+    local test_names
+    test_names="$(ctest --test-dir "${build_dir}" -N)"
+    if grep 'byte object' <<< "${test_names}" >&2; then
+      echo "test-identity gate FAILED: the ctest names above embed raw" \
+        "parameter bytes; give the parameter type a PrintTo" >&2
+      exit 1
+    fi
+    echo "test-identity gate OK: no ctest name embeds raw parameter bytes"
+  }
 
   # Determinism gate: a parallel (--jobs 8) and a serial (--jobs 1) suite
   # run must both reproduce every committed golden byte-for-byte. Keys
@@ -93,56 +116,64 @@ else
   # wall.events_per_sec_per_core and friends) are machine-load-dependent
   # by design and are stripped before diffing; everything else — including
   # the deterministic selfperf allocation counters — must match exactly.
-  goldens=(BENCH_latency.json BENCH_throughput.json BENCH_faults.json
-           BENCH_selfperf.json BENCH_fairness.json BENCH_resilience.json
-           BENCH_region.json BENCH_controlplane.json BENCH_ops.json)
-  for suite_jobs in 8 1; do
-    scratch="$(mktemp -d)"
-    (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
-      --jobs "${suite_jobs}" --seeds 3 --json > /dev/null)
-    for golden in "${goldens[@]}"; do
-      if ! diff <(grep -v '"wall\.' "${scratch}/${golden}") \
-                <(grep -v '"wall\.' "${repo_root}/${golden}") > /dev/null
-      then
-        echo "determinism gate FAILED (--jobs ${suite_jobs}):" \
-          "bench_suite --json no longer matches ${golden}" >&2
-        echo "scratch output kept at ${scratch}/${golden}" >&2
-        exit 1
-      fi
+  determinism_gate() {
+    local goldens=(BENCH_latency.json BENCH_throughput.json
+                   BENCH_faults.json BENCH_selfperf.json BENCH_fairness.json
+                   BENCH_resilience.json BENCH_region.json
+                   BENCH_controlplane.json BENCH_ops.json)
+    local suite_jobs scratch golden
+    for suite_jobs in 8 1; do
+      scratch="$(mktemp -d)"
+      (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
+        --jobs "${suite_jobs}" --seeds 3 --json > /dev/null)
+      for golden in "${goldens[@]}"; do
+        if ! diff <(grep -v '"wall\.' "${scratch}/${golden}") \
+                  <(grep -v '"wall\.' "${repo_root}/${golden}") > /dev/null
+        then
+          echo "determinism gate FAILED (--jobs ${suite_jobs}):" \
+            "bench_suite --json no longer matches ${golden}" >&2
+          echo "scratch output kept at ${scratch}/${golden}" >&2
+          exit 1
+        fi
+      done
+      rm -rf "${scratch}"
     done
-    rm -rf "${scratch}"
-  done
-  echo "determinism gate OK: bench_suite --jobs 8 and --jobs 1 both match" \
-    "all committed goldens"
+    echo "determinism gate OK: bench_suite --jobs 8 and --jobs 1 both" \
+      "match all committed goldens"
+  }
 
   # Selfperf regression gate: the simulator may not get slower. A serial,
   # uncontended selfperf pass (median of --repeat 3 to damp scheduler
   # noise) must stay within 10% of every committed
   # wall.events_per_sec_per_core — the perf trajectory the memory/layout
   # work bought is a guarded artifact, like the simulated goldens.
-  scratch="$(mktemp -d)"
-  (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
-    --jobs 1 --filter selfperf --repeat 3 --json > /dev/null)
-  extract_rate() {
-    awk -F': ' '/"wall\.events_per_sec_per_core":/ {
-      gsub(/[ ,]/, "", $2); print $2
-    }' "$1"
+  selfperf_gate() {
+    local scratch
+    scratch="$(mktemp -d)"
+    (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
+      --jobs 1 --filter selfperf --repeat 3 --json > /dev/null)
+    extract_rate() {
+      awk -F': ' '/"wall\.events_per_sec_per_core":/ {
+        gsub(/[ ,]/, "", $2); print $2
+      }' "$1"
+    }
+    if ! paste <(extract_rate "${scratch}/BENCH_selfperf.json") \
+               <(extract_rate "${repo_root}/BENCH_selfperf.json") | \
+      awk '{ if ($1 + 0 < 0.9 * ($2 + 0)) {
+               printf "selfperf variant #%d: %g events/sec/core < 90%% of committed %g\n", NR, $1, $2
+               fail = 1
+             } }
+           END { exit fail }' >&2
+    then
+      echo "selfperf regression gate FAILED: events_per_sec_per_core" \
+        "dropped >10% below the committed BENCH_selfperf.json golden" >&2
+      rm -rf "${scratch}"
+      exit 1
+    fi
+    rm -rf "${scratch}"
+    echo "selfperf regression gate OK: events_per_sec_per_core within 10%" \
+      "of the committed golden on every variant"
   }
-  if ! paste <(extract_rate "${scratch}/BENCH_selfperf.json") \
-             <(extract_rate "${repo_root}/BENCH_selfperf.json") | \
-    awk '{ if ($1 + 0 < 0.9 * ($2 + 0)) {
-             printf "selfperf variant #%d: %g events/sec/core < 90%% of committed %g\n", NR, $1, $2
-             fail = 1
-           } }
-         END { exit fail }' >&2
-  then
-    echo "selfperf regression gate FAILED: events_per_sec_per_core dropped" \
-      ">10% below the committed BENCH_selfperf.json golden" >&2
-    exit 1
-  fi
-  rm -rf "${scratch}"
-  echo "selfperf regression gate OK: events_per_sec_per_core within 10% of" \
-    "the committed golden on every variant"
 
   # Region shard-determinism gate: the determinism gate above already pins
   # region_scale at --shards 1 (the suite default) for both --jobs values;
@@ -153,143 +184,161 @@ else
   # wall-clock ratio a machine with >= 8 free cores converges to, and
   # machine-load-independent because it is CPU time, not elapsed time)
   # must stay >= 3x.
-  scratch="$(mktemp -d)"
-  (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
-    --filter region_scale --shards 8 --json > /dev/null)
-  if ! diff <(grep -v '"wall\.' "${scratch}/BENCH_region.json") \
-            <(grep -v '"wall\.' "${repo_root}/BENCH_region.json") > /dev/null
-  then
-    echo "region determinism gate FAILED: --shards 8 output no longer" \
-      "matches BENCH_region.json" >&2
-    echo "scratch output kept at ${scratch}/BENCH_region.json" >&2
-    exit 1
-  fi
-  if ! awk -F': ' '/"wall\.speedup_bound":/ {
-         gsub(/[ ,]/, "", $2)
-         if ($2 + 0 < 3.0) { printf "speedup_bound %g < 3.0\n", $2; fail = 1 }
-       } END { exit fail }' "${scratch}/BENCH_region.json" >&2
-  then
-    echo "region speedup gate FAILED: the 8-shard partition's critical" \
-      "path no longer supports a 3x parallel speedup" >&2
-    exit 1
-  fi
-  rm -rf "${scratch}"
-  echo "region determinism gate OK: --shards 8 matches the golden and the" \
-    "partition supports >= 3x parallel speedup"
+  region_gate() {
+    local scratch
+    scratch="$(mktemp -d)"
+    (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
+      --filter region_scale --shards 8 --json > /dev/null)
+    if ! diff <(grep -v '"wall\.' "${scratch}/BENCH_region.json") \
+              <(grep -v '"wall\.' "${repo_root}/BENCH_region.json") > /dev/null
+    then
+      echo "region determinism gate FAILED: --shards 8 output no longer" \
+        "matches BENCH_region.json" >&2
+      echo "scratch output kept at ${scratch}/BENCH_region.json" >&2
+      exit 1
+    fi
+    if ! awk -F': ' '/"wall\.speedup_bound":/ {
+           gsub(/[ ,]/, "", $2)
+           if ($2 + 0 < 3.0) { printf "speedup_bound %g < 3.0\n", $2; fail = 1 }
+         } END { exit fail }' "${scratch}/BENCH_region.json" >&2
+    then
+      echo "region speedup gate FAILED: the 8-shard partition's critical" \
+        "path no longer supports a 3x parallel speedup" >&2
+      rm -rf "${scratch}"
+      exit 1
+    fi
+    rm -rf "${scratch}"
+    echo "region determinism gate OK: --shards 8 matches the golden and" \
+      "the partition supports >= 3x parallel speedup"
+  }
 
   # Docs-consistency gate: EXPERIMENTS.md's scenario index (the table
   # between the scenario-index markers) and the suite's registered
   # scenario families must stay in lockstep — every documented scenario
   # must exist, and every runnable scenario must be documented.
-  docs_families="$(awk '/<!-- scenario-index:begin -->/ { in_table = 1; next }
-                        /<!-- scenario-index:end -->/ { in_table = 0 }
-                        in_table && /^\| `/ {
-                          line = $0
-                          sub(/^\| `/, "", line); sub(/`.*/, "", line)
-                          print line
-                        }' "${repo_root}/EXPERIMENTS.md" | sort -u)"
-  list_families="$("${build_dir}/bench/bench_suite" --list | cut -d/ -f1 | sort -u)"
-  if ! diff <(echo "${docs_families}") <(echo "${list_families}") >&2; then
-    echo "docs-consistency gate FAILED: EXPERIMENTS.md scenario index" \
-      "(< lines) and bench_suite --list families (> lines) have drifted" >&2
-    exit 1
-  fi
-  echo "docs-consistency gate OK: EXPERIMENTS.md scenario index matches" \
-    "bench_suite --list exactly"
+  docs_gate() {
+    local docs_families list_families
+    docs_families="$(awk '/<!-- scenario-index:begin -->/ { in_table = 1; next }
+                          /<!-- scenario-index:end -->/ { in_table = 0 }
+                          in_table && /^\| `/ {
+                            line = $0
+                            sub(/^\| `/, "", line); sub(/`.*/, "", line)
+                            print line
+                          }' "${repo_root}/EXPERIMENTS.md" | sort -u)"
+    list_families="$("${build_dir}/bench/bench_suite" --list | cut -d/ -f1 | sort -u)"
+    if ! diff <(echo "${docs_families}") <(echo "${list_families}") >&2; then
+      echo "docs-consistency gate FAILED: EXPERIMENTS.md scenario index" \
+        "(< lines) and bench_suite --list families (> lines) have drifted" >&2
+      exit 1
+    fi
+    echo "docs-consistency gate OK: EXPERIMENTS.md scenario index matches" \
+      "bench_suite --list exactly"
+  }
 
-  # Fuzz-smoke gate: a fixed-seed differential campaign across all five
+  # Fuzz-smoke gates: a fixed-seed differential campaign across all five
   # dataplanes must finish with zero oracle violations, and the JSON
   # report must be byte-identical between a parallel and a serial run
-  # (scenario fan-out may never leak into results).
-  scratch="$(mktemp -d)"
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 8 \
-    --json "${scratch}/fuzz-par.json" > /dev/null
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 1 \
-    --json "${scratch}/fuzz-ser.json" > /dev/null
-  if ! diff -q "${scratch}/fuzz-par.json" "${scratch}/fuzz-ser.json"; then
-    echo "fuzz-smoke gate FAILED: report differs between --jobs 8 and" \
-      "--jobs 1" >&2
-    exit 1
-  fi
-  echo "fuzz-smoke gate OK: 200 scenarios x 5 dataplanes, zero violations," \
-    "jobs-invariant report"
-
-  # Resilience fuzz-smoke: the same campaign with the resilience chain
-  # armed (rate limit -> breaker -> outlier ejection, salted per-scenario
-  # configs). Rate-limit decisions are compared strictly across planes;
-  # the resilience-window allowlist entry absorbs transition races only.
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 8 \
-    --resilience --json "${scratch}/fuzz-res-par.json" > /dev/null
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 1 \
-    --resilience --json "${scratch}/fuzz-res-ser.json" > /dev/null
-  if ! diff -q "${scratch}/fuzz-res-par.json" "${scratch}/fuzz-res-ser.json"; then
-    echo "resilience fuzz-smoke gate FAILED: report differs between" \
-      "--jobs 8 and --jobs 1" >&2
-    exit 1
-  fi
-  echo "resilience fuzz-smoke gate OK: 200 armed scenarios, zero" \
-    "violations, jobs-invariant report"
-
-  # Control-plane fuzz-smoke: the campaign again with push_config /
-  # rotate_certs events armed, so every CI run drives live config epochs
-  # through the modeled propagation layer on all five planes. Post-push
-  # steady state is compared strictly; the config-propagation-window
-  # allowlist entry absorbs mid-rollout skew only.
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 8 \
-    --control-plane --json "${scratch}/fuzz-cp-par.json" > /dev/null
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 1 \
-    --control-plane --json "${scratch}/fuzz-cp-ser.json" > /dev/null
-  if ! diff -q "${scratch}/fuzz-cp-par.json" "${scratch}/fuzz-cp-ser.json"; then
-    echo "controlplane-fuzz-smoke gate FAILED: report differs between" \
-      "--jobs 8 and --jobs 1" >&2
-    exit 1
-  fi
-  echo "controlplane-fuzz-smoke gate OK: 200 armed scenarios, zero" \
-    "violations, jobs-invariant report"
+  # (scenario fan-out may never leak into results). `label` names the
+  # gate, the rest are extra fuzz_mesh flags:
+  #   (none)           the plain campaign;
+  #   --resilience     the resilience chain armed (rate limit -> breaker ->
+  #                    outlier ejection, salted per-scenario configs).
+  #                    Rate-limit decisions are compared strictly across
+  #                    planes; the resilience-window allowlist entry
+  #                    absorbs transition races only;
+  #   --control-plane  push_config / rotate_certs events armed, so every CI
+  #                    run drives live config epochs through the modeled
+  #                    propagation layer on all five planes. Post-push
+  #                    steady state is compared strictly; the
+  #                    config-propagation-window allowlist entry absorbs
+  #                    mid-rollout skew only.
+  fuzz_gate() {
+    local label="$1" scratch
+    shift
+    scratch="$(mktemp -d)"
+    "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 8 "$@" \
+      --json "${scratch}/fuzz-par.json" > /dev/null
+    "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 200 --jobs 1 "$@" \
+      --json "${scratch}/fuzz-ser.json" > /dev/null
+    if ! diff -q "${scratch}/fuzz-par.json" "${scratch}/fuzz-ser.json"; then
+      echo "${label} gate FAILED: report differs between --jobs 8 and" \
+        "--jobs 1" >&2
+      exit 1
+    fi
+    rm -rf "${scratch}"
+    echo "${label} gate OK: 200 scenarios x 5 dataplanes, zero" \
+      "violations, jobs-invariant report"
+  }
 
   # Vacuous-success gates: drivers that would execute nothing must refuse
   # with a usage error (exit 2), never print a green summary.
-  status=0
-  "${build_dir}/src/fuzz/fuzz_mesh" --runs 0 > /dev/null 2>&1 || status=$?
-  if [[ "${status}" -ne 2 ]]; then
-    echo "vacuous-success gate FAILED: fuzz_mesh --runs 0 exited" \
-      "${status}, want 2" >&2
-    exit 1
-  fi
-  status=0
-  "${build_dir}/bench/bench_suite" --filter no-such-scenario \
-    > /dev/null 2>&1 || status=$?
-  if [[ "${status}" -ne 2 ]]; then
-    echo "vacuous-success gate FAILED: zero-match --filter exited" \
-      "${status}, want 2" >&2
-    exit 1
-  fi
-  status=0
-  "${build_dir}/bench/bench_suite" --shards not-a-number \
-    > /dev/null 2>&1 || status=$?
-  if [[ "${status}" -ne 2 ]]; then
-    echo "vacuous-success gate FAILED: non-numeric --shards exited" \
-      "${status}, want 2" >&2
-    exit 1
-  fi
-  echo "vacuous-success gate OK: empty fuzz campaigns and zero-match" \
-    "bench filters are refused"
+  vacuous_success_gate() {
+    local status=0
+    "${build_dir}/src/fuzz/fuzz_mesh" --runs 0 > /dev/null 2>&1 || status=$?
+    if [[ "${status}" -ne 2 ]]; then
+      echo "vacuous-success gate FAILED: fuzz_mesh --runs 0 exited" \
+        "${status}, want 2" >&2
+      exit 1
+    fi
+    status=0
+    "${build_dir}/bench/bench_suite" --filter no-such-scenario \
+      > /dev/null 2>&1 || status=$?
+    if [[ "${status}" -ne 2 ]]; then
+      echo "vacuous-success gate FAILED: zero-match --filter exited" \
+        "${status}, want 2" >&2
+      exit 1
+    fi
+    status=0
+    "${build_dir}/bench/bench_suite" --shards not-a-number \
+      > /dev/null 2>&1 || status=$?
+    if [[ "${status}" -ne 2 ]]; then
+      echo "vacuous-success gate FAILED: non-numeric --shards exited" \
+        "${status}, want 2" >&2
+      exit 1
+    fi
+    echo "vacuous-success gate OK: empty fuzz campaigns and zero-match" \
+      "bench filters are refused"
+  }
 
   # Trace-export gate: both sampled-trace exporters (fuzzer scenario-0
   # re-run and the bench suite's noisy_neighbor scenario) must emit Chrome
   # trace-event JSON that passes the independent slice-tiling validator.
   # fuzz_mesh --trace-out validates internally before writing; the bench
   # file is re-validated through bench_suite --validate-trace.
-  "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 1 \
-    --trace-out "${scratch}/fuzz-trace.json" > /dev/null
-  (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
-    --filter noisy_neighbor --trace-out "${scratch}/bench-trace.json" \
-    > /dev/null)
-  "${build_dir}/bench/bench_suite" \
-    --validate-trace "${scratch}/fuzz-trace.json" > /dev/null
-  "${build_dir}/bench/bench_suite" \
-    --validate-trace "${scratch}/bench-trace.json" > /dev/null
-  rm -rf "${scratch}"
-  echo "trace-export gate OK: fuzz + bench trace exports validate as" \
-    "Chrome trace-event JSON"
+  trace_export_gate() {
+    local scratch
+    scratch="$(mktemp -d)"
+    "${build_dir}/src/fuzz/fuzz_mesh" --seed 1 --runs 1 \
+      --trace-out "${scratch}/fuzz-trace.json" > /dev/null
+    (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
+      --filter noisy_neighbor --trace-out "${scratch}/bench-trace.json" \
+      > /dev/null)
+    "${build_dir}/bench/bench_suite" \
+      --validate-trace "${scratch}/fuzz-trace.json" > /dev/null
+    "${build_dir}/bench/bench_suite" \
+      --validate-trace "${scratch}/bench-trace.json" > /dev/null
+    rm -rf "${scratch}"
+    echo "trace-export gate OK: fuzz + bench trace exports validate as" \
+      "Chrome trace-event JSON"
+  }
+
+  run_gate test-identity test_identity_gate
+  run_gate determinism determinism_gate
+  run_gate selfperf-regression selfperf_gate
+  run_gate region-determinism region_gate
+  run_gate docs-consistency docs_gate
+  run_gate fuzz-smoke fuzz_gate fuzz-smoke
+  run_gate resilience-fuzz-smoke fuzz_gate resilience-fuzz-smoke --resilience
+  run_gate controlplane-fuzz-smoke fuzz_gate controlplane-fuzz-smoke \
+    --control-plane
+  run_gate vacuous-success vacuous_success_gate
+  run_gate trace-export trace_export_gate
+
+  if [[ "${#failed_gates[@]}" -gt 0 ]]; then
+    for gate in "${failed_gates[@]}"; do
+      echo "check.sh: gate FAILED: ${gate}" >&2
+    done
+    exit 1
+  fi
+  echo "check.sh: all gates OK"
 fi

@@ -13,7 +13,8 @@ proxy::ProxyCostModel OnNodeProxy::Config::default_costs() {
 
 OnNodeProxy::OnNodeProxy(sim::EventLoop& loop, const k8s::Node& node,
                          Config config, sim::Rng rng)
-    : loop_(loop), node_(node), config_(std::move(config)), cpu_(loop, config_.cores) {
+    : loop_(loop), node_(node), config_(std::move(config)),
+      cpu_(loop, config_.cores, sim::CpuCore::kNoHistory) {
   crypto::KeyServerClient::Config client_config;
   client_config.requester_id =
       "onnode-" + std::to_string(net::id_value(node.id()));

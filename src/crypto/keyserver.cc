@@ -18,7 +18,7 @@ KeyServer::KeyServer(sim::EventLoop& loop, net::AzId az, std::size_t cores,
                      sim::Rng rng, CryptoCostModel model)
     : loop_(loop),
       az_(az),
-      cpu_(loop, cores),
+      cpu_(loop, cores, sim::CpuCore::kNoHistory),
       rng_(rng),
       model_(model),
       accel_(loop, cpu_, AccelMode::kBatched, model) {

@@ -507,7 +507,8 @@ void ensure_rotation(World& w) {
   if (w.rotation_accel != nullptr) return;
   w.cert_propagation = std::make_unique<k8s::ConfigPropagation>(
       w.loop, k8s::ControlPlaneProfile{});
-  w.rotation_cpu = std::make_unique<sim::CpuSet>(w.loop, 4);
+  w.rotation_cpu = std::make_unique<sim::CpuSet>(w.loop, 4,
+                                                sim::CpuCore::kNoHistory);
   w.rotation_accel = std::make_unique<crypto::AsymmetricAccelerator>(
       w.loop, *w.rotation_cpu, crypto::AccelMode::kBatched);
   w.rotation_ca = std::make_unique<crypto::CertificateAuthority>(

@@ -88,7 +88,10 @@ class Controller {
   Controller(sim::EventLoop& loop, std::size_t cores,
              SouthboundChannel& southbound,
              ControllerCostModel model = ControllerCostModel{})
-      : loop_(loop), cpu_(loop, cores), southbound_(southbound), model_(model) {}
+      : loop_(loop),
+        cpu_(loop, cores, sim::CpuCore::kNoHistory),
+        southbound_(southbound),
+        model_(model) {}
 
   /// Builds and pushes configuration for every target; `done` receives the
   /// report when the last target has its config delivered. When

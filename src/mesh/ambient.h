@@ -80,14 +80,14 @@ class AmbientMesh final : public MeshDataplane {
  private:
   struct Ztunnel {
     explicit Ztunnel(sim::EventLoop& loop, std::size_t cores)
-        : cpu(loop, cores) {}
+        : cpu(loop, cores, sim::CpuCore::kNoHistory) {}
     sim::CpuSet cpu;
     std::unique_ptr<crypto::AsymmetricAccelerator> accel;
     std::unique_ptr<proxy::ProxyEngine> engine;
   };
   struct Waypoint {
     explicit Waypoint(sim::EventLoop& loop, std::size_t cores)
-        : cpu(loop, cores) {}
+        : cpu(loop, cores, sim::CpuCore::kNoHistory) {}
     sim::CpuSet cpu;
     std::unique_ptr<crypto::AsymmetricAccelerator> accel;
     std::unique_ptr<proxy::ProxyEngine> engine;

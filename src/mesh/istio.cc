@@ -302,13 +302,4 @@ double IstioMesh::user_cpu_core_seconds() const {
   return total;
 }
 
-double IstioMesh::sidecar_utilization(sim::Duration window) const {
-  if (pools_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& [node, pool] : pools_) {
-    sum += pool->cpu.utilization(window);
-  }
-  return sum / static_cast<double>(pools_.size());
-}
-
 }  // namespace canal::mesh

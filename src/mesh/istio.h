@@ -66,8 +66,6 @@ class IstioMesh final : public MeshDataplane {
   }
 
   [[nodiscard]] proxy::ProxyEngine* sidecar_engine(net::PodId pod);
-  /// Mean utilization of all sidecar CPU pools over the window.
-  [[nodiscard]] double sidecar_utilization(sim::Duration window) const;
 
  protected:
   /// Outlier ejection reaches every sidecar's endpoint pool (each sidecar
@@ -81,7 +79,7 @@ class IstioMesh final : public MeshDataplane {
  private:
   struct NodePool {
     explicit NodePool(sim::EventLoop& loop, std::size_t cores)
-        : cpu(loop, cores) {}
+        : cpu(loop, cores, sim::CpuCore::kNoHistory) {}
     sim::CpuSet cpu;
     std::unique_ptr<crypto::AsymmetricAccelerator> accel;
   };

@@ -1,6 +1,7 @@
 #include "sim/cpu.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace canal::sim {
 
@@ -13,13 +14,14 @@ TimePoint CpuCore::execute(Duration cost, Callback done,
   free_at_ = end;
   total_busy_ += cost;
   ++jobs_;
-  if (cost > 0) {
+  if (cost > 0 && history_ != kNoHistory) {
     if (!intervals_.empty() && intervals_.back().end == start) {
       intervals_.back().end = end;  // coalesce back-to-back work
-      cum_.back() += cost;
+      intervals_.back().cum += cost;
     } else {
-      intervals_.push_back({start, end});
-      cum_.push_back((cum_.empty() ? dropped_cum_ : cum_.back()) + cost);
+      const Duration before =
+          intervals_.empty() ? dropped_cum_ : intervals_.back().cum;
+      intervals_.push_back({end, before + cost});
     }
     prune(loop_.now() - history_);
   }
@@ -29,29 +31,32 @@ TimePoint CpuCore::execute(Duration cost, Callback done,
 
 void CpuCore::prune(TimePoint horizon) {
   while (!intervals_.empty() && intervals_.front().end < horizon) {
-    dropped_cum_ = cum_.front();
+    dropped_cum_ = intervals_.front().cum;
     intervals_.pop_front();
-    cum_.pop_front();
   }
   // Time-based pruning alone cannot bound memory when every retained
   // interval is younger than `history`; enforce the hard cap by dropping
   // the oldest entries.
   while (intervals_.size() > kMaxIntervals) {
-    dropped_cum_ = cum_.front();
+    dropped_cum_ = intervals_.front().cum;
     intervals_.pop_front();
-    cum_.pop_front();
   }
 }
 
 double CpuCore::utilization(Duration window) const {
+  if (history_ == kNoHistory) {
+    throw std::logic_error(
+        "CpuCore::utilization on a core built with kNoHistory");
+  }
   if (window <= 0) return 0.0;
   const TimePoint hi = loop_.now();
   const TimePoint lo = hi - window;
   // Intervals are appended in nondecreasing (start, end) order and are
   // disjoint, so the window's overlap set is the contiguous index range
   // [first, n): binary-search its start, then read the busy total out of
-  // the prefix-sum column and clip the two boundary intervals — only the
-  // first can start before `lo` and only the last can end after `hi`.
+  // the prefix sums and clip the two boundary intervals — only the first
+  // can start before `lo` and only the last can end after `hi`. The first
+  // one's start is implied by its end and its share of the prefix sum.
   // The range always runs to the end: an interval opens at the `now` of
   // the execute() that starts it (work queued behind a busy core coalesces
   // into the back interval), so none starts after `hi`, and one starting
@@ -69,8 +74,11 @@ double CpuCore::utilization(Duration window) const {
     }
   }
   if (first >= n) return 0.0;
-  Duration busy = cum_.back() - (first == 0 ? dropped_cum_ : cum_[first - 1]);
-  if (intervals_[first].start < lo) busy -= lo - intervals_[first].start;
+  const Duration before = first == 0 ? dropped_cum_ : intervals_[first - 1].cum;
+  Duration busy = intervals_.back().cum - before;
+  const TimePoint first_start =
+      intervals_[first].end - (intervals_[first].cum - before);
+  if (first_start < lo) busy -= lo - first_start;
   if (intervals_.back().end > hi) busy -= intervals_.back().end - hi;
   return static_cast<double>(busy) / static_cast<double>(window);
 }

@@ -167,6 +167,54 @@ TEST(Gateway, RemoteMtlsViaKeyServer) {
   EXPECT_GT(bed.key_server->requests_served(), 0u);
 }
 
+TEST(Gateway, OnlyQueriedCoresKeepBusyHistory) {
+  // Utilization is read on gateway replicas (scaling, resolve) and on user
+  // nodes (intervention) only; the on-node proxies and the key server
+  // work their cores without recording busy intervals.
+  GatewayTestbed bed;
+  for (int i = 0; i < 8; ++i) {
+    mesh::RequestOptions opts = bed.request();
+    opts.new_connection = true;
+    EXPECT_EQ(bed.run_one(opts).status, 200);
+  }
+  ASSERT_GT(bed.key_server->requests_served(), 0u);
+  const auto tally = [](const sim::CpuSet& cpu, std::uint64_t& jobs,
+                        std::size_t& intervals) {
+    for (std::size_t i = 0; i < cpu.size(); ++i) {
+      jobs += cpu.core(i).jobs();
+      intervals += cpu.core(i).interval_count();
+    }
+  };
+  std::uint64_t proxy_jobs = 0;
+  std::size_t proxy_intervals = 0;
+  std::uint64_t node_jobs = 0;
+  std::size_t node_intervals = 0;
+  for (const auto& node : bed.cluster.nodes()) {
+    tally(node->cpu(), node_jobs, node_intervals);
+    OnNodeProxy* proxy = bed.canal->proxy_for(*node);
+    ASSERT_NE(proxy, nullptr);
+    tally(proxy->cpu(), proxy_jobs, proxy_intervals);
+  }
+  std::uint64_t key_jobs = 0;
+  std::size_t key_intervals = 0;
+  tally(bed.key_server->cpu(), key_jobs, key_intervals);
+  std::uint64_t replica_jobs = 0;
+  std::size_t replica_intervals = 0;
+  for (GatewayBackend* backend : bed.gateway->all_backends()) {
+    for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+      tally(backend->replica(r)->cpu(), replica_jobs, replica_intervals);
+    }
+  }
+  EXPECT_GT(proxy_jobs, 0u);
+  EXPECT_EQ(proxy_intervals, 0u);
+  EXPECT_GT(key_jobs, 0u);
+  EXPECT_EQ(key_intervals, 0u);
+  EXPECT_GT(replica_jobs, 0u);
+  EXPECT_GT(replica_intervals, 0u);
+  EXPECT_GT(node_jobs, 0u);
+  EXPECT_GT(node_intervals, 0u);
+}
+
 TEST(Gateway, ResolvePrefersLocalAz) {
   GatewayTestbed bed;
   GatewayBackend* resolved =

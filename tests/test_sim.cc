@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -722,6 +723,51 @@ TEST(CpuCore, UtilizationMatchesNaiveOverlapSum) {
   EXPECT_EQ(check_utilization_against_naive(year, 3 * CpuCore::kMaxIntervals,
                                             997, 4),
             CpuCore::kMaxIntervals);
+}
+
+TEST(CpuCore, NoHistoryCoreKeepsTimingButNoIntervals) {
+  // The same seeded job stream (idle gaps, queued bursts, zero-cost jobs)
+  // on a default core and a kNoHistory core: every FCFS answer agrees, but
+  // only the default core retains intervals and answers utilization.
+  EventLoop loop;
+  CpuCore kept(loop);
+  CpuCore none(loop, CpuCore::kNoHistory);
+  Rng rng(43);
+  std::vector<TimePoint> fired_kept;
+  std::vector<TimePoint> fired_none;
+  for (std::size_t i = 0; i < 5000; ++i) {
+    const TimePoint idle_from = std::max(loop.now(), kept.free_at());
+    loop.run_until(rng.chance(0.6)
+                       ? idle_from + rng.uniform_int(1, microseconds(3))
+                       : loop.now() + rng.uniform_int(0, microseconds(1)));
+    const Duration cost =
+        rng.chance(0.1) ? 0 : rng.uniform_int(1, microseconds(2));
+    Duration wait_kept = -1;
+    Duration wait_none = -1;
+    const TimePoint end_kept = kept.execute(
+        cost, [&] { fired_kept.push_back(loop.now()); }, &wait_kept);
+    const TimePoint end_none = none.execute(
+        cost, [&] { fired_none.push_back(loop.now()); }, &wait_none);
+    ASSERT_EQ(end_kept, end_none) << "job " << i;
+    ASSERT_EQ(wait_kept, wait_none) << "job " << i;
+    ASSERT_EQ(kept.free_at(), none.free_at()) << "job " << i;
+    ASSERT_EQ(kept.backlog(), none.backlog()) << "job " << i;
+  }
+  loop.run();
+  EXPECT_EQ(fired_kept, fired_none);
+  EXPECT_EQ(fired_none.size(), 5000u);
+  EXPECT_EQ(kept.jobs(), none.jobs());
+  EXPECT_EQ(kept.total_busy(), none.total_busy());
+  EXPECT_GT(kept.interval_count(), 0u);
+  EXPECT_EQ(none.interval_count(), 0u);
+  EXPECT_GT(kept.utilization(seconds(1)), 0.0);
+  EXPECT_THROW((void)none.utilization(seconds(1)), std::logic_error);
+
+  CpuSet set(loop, 2, CpuCore::kNoHistory);
+  set.execute(microseconds(5));
+  EXPECT_EQ(set.core(0).interval_count() + set.core(1).interval_count(), 0u);
+  EXPECT_THROW((void)set.utilization(seconds(1)), std::logic_error);
+  EXPECT_THROW((void)set.max_core_utilization(seconds(1)), std::logic_error);
 }
 
 }  // namespace
