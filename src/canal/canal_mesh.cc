@@ -18,29 +18,16 @@ CanalMesh::CanalMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
 /// slot and the steady-state path never boxes a closure on the heap
 /// (DESIGN.md §14). Slots are recycled by requests_; owned buffers (the
 /// http::Request, the options copy) keep their capacity across reuse.
-struct CanalMesh::RequestState {
+struct CanalMesh::RequestState : mesh::RequestSlot {
   CanalMesh* self = nullptr;
-  http::Request req;
-  net::FiveTuple tuple{};
-  sim::TimePoint start = 0;
-  net::TenantId tenant{};
-  mesh::RequestOptions opts;
-  mesh::RequestCallback done;
   OnNodeProxy* client_proxy = nullptr;
   OnNodeProxy* server_proxy = nullptr;
   GatewayReplica* replica = nullptr;
   GatewayBackend* backend = nullptr;
-  proxy::UpstreamEndpoint* endpoint = nullptr;
-  k8s::Pod* target = nullptr;
-  std::shared_ptr<telemetry::Trace> trace;
   net::Packet packet{};
   net::AzId client_az{};
   sim::Duration hop2 = 0;
-  sim::TimePoint wire = 0;       ///< start of the hop currently in flight
   sim::TimePoint app_start = 0;
-  std::uint64_t resp_bytes = 0;
-  int resp_status = 0;
-  [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
 };
 
 CanalMesh::~CanalMesh() = default;
@@ -151,59 +138,26 @@ std::size_t CanalMesh::service_endpoint_total(net::ServiceId service) const {
 }
 
 void CanalMesh::finish_request(RequestState* st, int status) {
-  if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-    --st->endpoint->active_requests;
-  }
-  const sim::Duration latency = loop_.now() - st->start;
   if (st->opts.close_after) {
     if (st->client_proxy) st->client_proxy->engine().close_connection(st->tuple);
     if (st->server_proxy) st->server_proxy->engine().close_connection(st->tuple);
     if (st->replica) st->replica->engine().close_connection(st->tuple);
   }
-  mesh::RequestResult result;
-  result.status = status;
-  result.latency = latency;
-  if (st->target != nullptr) result.served_by = st->target->id();
-  result.tenant = st->tenant;
-  result.trace = st->trace;
-  // `result` now owns everything the continuation needs; release the slot
-  // before invoking it so a re-issued request can reuse the storage.
-  auto done = std::move(st->done);
-  st->trace.reset();
-  requests_.release(st);
-  done(result);
+  requests_.finish(st, status, loop_.now());
 }
 
 void CanalMesh::send_request(const mesh::RequestOptions& opts,
                              mesh::RequestCallback done) {
-  RequestState* st = requests_.acquire();
+  RequestState* st = requests_.begin(opts, std::move(done), loop_.now());
   st->self = this;
-  st->start = loop_.now();
-  st->tenant = mesh::effective_tenant(opts);
-  st->opts = opts;
-  st->done = std::move(done);
   st->client_proxy = nullptr;
   st->server_proxy = nullptr;
   st->replica = nullptr;
   st->backend = nullptr;
-  st->endpoint = nullptr;
-  st->target = nullptr;
-  st->trace.reset();
-  if (opts.trace) {
-    st->trace = std::make_shared<telemetry::Trace>();
-    st->trace->set_tenant(st->tenant);
-  }
   if (opts.client == nullptr) {
     // Malformed request: no originating pod. Fail fast instead of
     // dereferencing null below.
-    mesh::RequestResult result;
-    result.status = 400;
-    result.tenant = st->tenant;
-    result.trace = st->trace;
-    auto cb = std::move(st->done);
-    st->trace.reset();
-    requests_.release(st);
-    cb(result);
+    requests_.finish(st, 400, loop_.now());
     return;
   }
   mesh::build_request_into(opts, st->req);
@@ -231,9 +185,8 @@ void CanalMesh::send_request(const mesh::RequestOptions& opts,
 
   if (config_.network.dropped(rng_, st->start)) {
     // Lost on the wire: `done` never fires; only a per-try timeout in the
-    // retry layer recovers. The slot is free for reuse immediately (its
-    // callback is overwritten on the next acquisition).
-    requests_.release(st);
+    // retry layer recovers.
+    requests_.drop(st);
     return;
   }
 

@@ -14,7 +14,6 @@
 #include "canal/onnode.h"
 #include "crypto/keyserver.h"
 #include "mesh/dataplane.h"
-#include "sim/arena.h"
 #include "sim/flat_map.h"
 
 namespace canal::core {
@@ -103,7 +102,7 @@ class CanalMesh final : public mesh::MeshDataplane {
       proxies_;
   sim::FlatHashMap<net::ServiceId, std::uint32_t, net::IdHash> vnis_;
   sim::FlatHashMap<std::uint16_t, crypto::KeyServer*> key_servers_;
-  sim::Pool<RequestState> requests_;
+  mesh::RequestSlots<RequestState> requests_;
   std::uint16_t next_port_ = 30000;
 };
 

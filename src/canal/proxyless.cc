@@ -32,6 +32,16 @@ std::size_t EniRegistry::allocated_on(const k8s::Node& node) const {
   return it == per_node_.end() ? 0 : it->second;
 }
 
+/// Pooled continuation state of one proxyless request: every hop captures
+/// only this pointer (DESIGN.md §14).
+struct ProxylessMesh::RequestState : mesh::RequestSlot {
+  ProxylessMesh* self = nullptr;
+  GatewayReplica* replica = nullptr;
+  GatewayBackend* backend = nullptr;
+  net::Packet packet{};
+  net::AzId client_az{};
+};
+
 ProxylessMesh::ProxylessMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
                              MeshGateway& gateway, Config config, sim::Rng rng)
     : loop_(loop),
@@ -90,44 +100,35 @@ std::size_t ProxylessMesh::service_endpoint_total(
   return obj != nullptr ? obj->endpoints.size() : 0;
 }
 
+void ProxylessMesh::finish_request(RequestState* st, int status) {
+  if (st->opts.close_after && st->replica != nullptr) {
+    st->replica->engine().close_connection(st->tuple);
+  }
+  requests_.finish(st, status, loop_.now());
+}
+
 void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
                                  mesh::RequestCallback done) {
-  struct State {
-    http::Request req;
-    net::FiveTuple tuple;
-    sim::TimePoint start = 0;
-    mesh::RequestOptions opts;
-    mesh::RequestCallback done;
-    GatewayReplica* replica = nullptr;
-    GatewayBackend* backend = nullptr;
-    proxy::UpstreamEndpoint* endpoint = nullptr;
-    k8s::Pod* target = nullptr;
-  };
-  auto st = std::make_shared<State>();
-  st->start = loop_.now();
-  st->opts = opts;
-  st->done = std::move(done);
-  const net::TenantId tenant = mesh::effective_tenant(opts);
+  // Observability is gateway-side only: no on-path trace.
+  RequestState* st = requests_.begin(opts, std::move(done), loop_.now(),
+                                     /*traced=*/false);
+  st->self = this;
+  st->replica = nullptr;
+  st->backend = nullptr;
   if (opts.client == nullptr) {
     // Malformed request: no originating pod. Fail fast instead of
     // dereferencing null below.
-    mesh::RequestResult result;
-    result.status = 400;
-    result.tenant = tenant;
-    st->done(result);
+    requests_.finish(st, 400, loop_.now());
     return;
   }
   if (cluster_.find_service(opts.dst_service) == nullptr) {
     // DNS cannot resolve an unknown service to the gateway VIP: 404, not
     // the gateway's unknown-VNI 403 (which is for known-but-unregistered
     // services).
-    mesh::RequestResult result;
-    result.status = 404;
-    result.tenant = tenant;
-    st->done(result);
+    requests_.finish(st, 404, loop_.now());
     return;
   }
-  st->req = mesh::build_request(opts);
+  mesh::build_request_into(opts, st->req);
   const std::uint16_t src_port =
       opts.src_port != 0 ? opts.src_port : next_port_++;
   st->tuple =
@@ -135,25 +136,10 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
                      src_port, 443, net::Protocol::kTcp};
   if (next_port_ < 40000) next_port_ = 40000;
 
-  auto finish = [this, st, tenant](int status) {
-    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-      --st->endpoint->active_requests;
-    }
-    if (st->opts.close_after && st->replica != nullptr) {
-      st->replica->engine().close_connection(st->tuple);
-    }
-    mesh::RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - st->start;
-    if (st->target != nullptr) result.served_by = st->target->id();
-    result.tenant = tenant;
-    st->done(result);
-  };
-
   // Authentication: the ENI attached to the container vouches for the
   // traffic; pods without one cannot be verified and are rejected.
   if (!enis_.authenticated(opts.client->id())) {
-    loop_.post(0, [finish]() mutable { finish(403); });
+    loop_.post(0, [st] { st->self->finish_request(st, 403); });
     return;
   }
 
@@ -168,70 +154,78 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
     }
     app_tls_core_seconds_ += sim::to_seconds(app_crypto);
   }
-  opts.client->node().cpu().execute(app_crypto, [this, st, finish]() mutable {
+  opts.client->node().cpu().execute(app_crypto, [st] {
+    ProxylessMesh& self = *st->self;
     // DNS already resolves the service name to the gateway VIP; the packet
     // rides the tenant's VXLAN network to the gateway.
-    net::Packet packet;
-    packet.tuple = st->tuple;
-    packet.payload_bytes = static_cast<std::uint32_t>(st->req.wire_size());
-    if (st->opts.new_connection) packet.set_flag(net::TcpFlag::kSyn);
+    st->packet = net::Packet{};
+    st->packet.tuple = st->tuple;
+    st->packet.payload_bytes =
+        static_cast<std::uint32_t>(st->req.wire_size());
+    if (st->opts.new_connection) st->packet.set_flag(net::TcpFlag::kSyn);
     net::VxlanHeader vxlan;
-    vxlan.vni = vni_of(st->opts.dst_service);
+    vxlan.vni = self.vni_of(st->opts.dst_service);
     vxlan.outer = net::FiveTuple{st->opts.client->node().ip(),
                                  net::Ipv4Addr(100, 64, 0, 1),
                                  st->tuple.src_port, 4789,
                                  net::Protocol::kUdp};
-    packet.vxlan = vxlan;
+    st->packet.vxlan = vxlan;
+    st->client_az = st->opts.client->node().az();
+    self.loop_.post(self.config_.network.intra_az,
+                    [st] { st->self->forward_to_gateway(st); });
+  });
+}
 
-    const net::AzId client_az = st->opts.client->node().az();
-    loop_.post(config_.network.intra_az, [this, st, finish, packet,
-                                              client_az]() mutable {
-      gateway_.handle_request(
-          packet, st->opts.new_connection, config_.user_managed_certs,
-          st->req, client_az, [this, st, finish](GatewayOutcome outcome) mutable {
-            // Record the serving replica before any early return: when the
-            // L7 engine answered with an error (e.g. a 4xx direct
-            // response), it still opened a session that finish() must
-            // close.
-            st->replica = outcome.replica;
-            st->backend = outcome.backend;
-            if (!outcome.ok) {
-              finish(outcome.status);
-              return;
-            }
-            ++gateway_requests_;
-            if (outcome.endpoint == nullptr) {
-              // 2xx/3xx direct response answered by the gateway replica:
-              // no upstream endpoint, nothing to forward.
-              finish(outcome.status);
-              return;
-            }
-            st->endpoint = outcome.endpoint;
-            st->target = cluster_.find_pod(
-                static_cast<net::PodId>(outcome.endpoint->key));
-            if (st->target == nullptr || !st->target->ready()) {
-              finish(503);
-              return;
-            }
-            // Server side has no proxy either: gateway -> server app.
-            loop_.post(config_.network.intra_az, [this, st,
-                                                      finish]() mutable {
-              st->target->handle_request(
-                  st->req, [this, st, finish](http::Response& resp) mutable {
-                    const std::uint64_t bytes = resp.wire_size();
-                    const int status = resp.status;
-                    st->backend->handle_response(
-                        *st->replica, st->tuple, bytes,
-                        [this, st, finish, status]() mutable {
-                          loop_.post(2 * config_.network.intra_az,
-                                         [finish, status]() mutable {
-                                           finish(status);
-                                         });
-                        });
-                  });
-            });
+void ProxylessMesh::forward_to_gateway(RequestState* st) {
+  gateway_.handle_request(
+      st->packet, st->opts.new_connection, config_.user_managed_certs,
+      st->req, st->client_az,
+      [st](GatewayOutcome outcome) {
+        st->self->on_gateway_routed(st, outcome);
+      });
+}
+
+void ProxylessMesh::on_gateway_routed(RequestState* st,
+                                      const GatewayOutcome& outcome) {
+  // Record the serving replica before any early return: when the L7 engine
+  // answered with an error (e.g. a 4xx direct response), it still opened a
+  // session that finish_request() must close.
+  st->replica = outcome.replica;
+  st->backend = outcome.backend;
+  if (!outcome.ok) {
+    finish_request(st, outcome.status);
+    return;
+  }
+  ++gateway_requests_;
+  if (outcome.endpoint == nullptr) {
+    // 2xx/3xx direct response answered by the gateway replica: no upstream
+    // endpoint, nothing to forward.
+    finish_request(st, outcome.status);
+    return;
+  }
+  st->endpoint = outcome.endpoint;
+  st->target =
+      cluster_.find_pod(static_cast<net::PodId>(outcome.endpoint->key));
+  if (st->target == nullptr || !st->target->ready()) {
+    finish_request(st, 503);
+    return;
+  }
+  // Server side has no proxy either: gateway -> server app.
+  loop_.post(config_.network.intra_az,
+             [st] { st->self->deliver_to_server(st); });
+}
+
+void ProxylessMesh::deliver_to_server(RequestState* st) {
+  st->target->handle_request(st->req, [st](http::Response& resp) {
+    st->resp_bytes = resp.wire_size();
+    st->resp_status = resp.status;
+    st->backend->handle_response(
+        *st->replica, st->tuple, st->resp_bytes, [st] {
+          ProxylessMesh& self = *st->self;
+          self.loop_.post(2 * self.config_.network.intra_az, [st] {
+            st->self->finish_request(st, st->resp_status);
           });
-    });
+        });
   });
 }
 

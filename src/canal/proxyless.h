@@ -117,6 +117,16 @@ class ProxylessMesh final : public mesh::MeshDataplane {
       net::ServiceId service) const override;
 
  private:
+  /// Pooled request slot (DESIGN.md §14), defined in the .cc.
+  struct RequestState;
+
+  // send_request's hop chain, one member per async boundary (request out:
+  // app TLS -> gateway -> server app; response back via the gateway).
+  void forward_to_gateway(RequestState* st);
+  void on_gateway_routed(RequestState* st, const GatewayOutcome& outcome);
+  void deliver_to_server(RequestState* st);
+  void finish_request(RequestState* st, int status);
+
   sim::EventLoop& loop_;
   k8s::Cluster& cluster_;
   MeshGateway& gateway_;
@@ -127,6 +137,7 @@ class ProxylessMesh final : public mesh::MeshDataplane {
   double app_tls_core_seconds_ = 0.0;
   std::uint64_t gateway_requests_ = 0;
   std::uint16_t next_port_ = 40000;
+  mesh::RequestSlots<RequestState> requests_;
 };
 
 }  // namespace canal::core

@@ -394,7 +394,7 @@ void install_custom_routes(World& w) {
 void refresh_service_everywhere(World& w, k8s::Service& service) {
   switch (w.plane_index) {
     case kNoMesh:
-      break;  // reads Service::ready_endpoints() directly
+      break;  // picks from Service::endpoints directly
     case kIstio:
       for (const auto& pod : w.cluster.pods()) {
         if (auto* engine = w.istio->sidecar_engine(pod->id())) {

@@ -70,12 +70,4 @@ void Pod::handle_request(const http::Request& req, ResponseCallback done) {
 
 void Pod::handle_health_probe() { ++health_probes_; }
 
-std::vector<Pod*> Service::ready_endpoints() const {
-  std::vector<Pod*> out;
-  for (Pod* p : endpoints) {
-    if (p != nullptr && p->ready()) out.push_back(p);
-  }
-  return out;
-}
-
 }  // namespace canal::k8s

@@ -141,8 +141,6 @@ struct Service {
   std::vector<Pod*> endpoints;
   /// Whether the owner configured L7 rules (Table 3 adoption model).
   bool wants_l7 = true;
-
-  [[nodiscard]] std::vector<Pod*> ready_endpoints() const;
 };
 
 }  // namespace canal::k8s

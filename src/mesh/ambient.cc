@@ -18,6 +18,19 @@ proxy::ProxyCostModel AmbientMesh::Config::default_waypoint_costs() {
   return costs;
 }
 
+/// Pooled continuation state of one ambient request: every hop captures
+/// only this pointer (DESIGN.md §14).
+struct AmbientMesh::RequestState : RequestSlot {
+  AmbientMesh* self = nullptr;
+  proxy::ProxyEngine* client_zt = nullptr;
+  proxy::ProxyEngine* waypoint = nullptr;
+  proxy::ProxyEngine* server_zt = nullptr;
+  const k8s::Node* waypoint_host = nullptr;
+  sim::Duration hop2 = 0;      ///< waypoint<->server, both directions
+  sim::Duration hop_back = 0;  ///< waypoint->client, taken at the response
+  sim::TimePoint app_start = 0;
+};
+
 AmbientMesh::AmbientMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
                          Config config, sim::Rng rng)
     : loop_(loop), cluster_(cluster), config_(config), rng_(rng) {}
@@ -139,77 +152,46 @@ std::size_t AmbientMesh::service_endpoint_total(net::ServiceId service) const {
   return obj != nullptr ? obj->endpoints.size() : 0;
 }
 
+void AmbientMesh::finish_request(RequestState* st, int status) {
+  if (st->opts.close_after) {
+    if (st->client_zt) st->client_zt->close_connection(st->tuple);
+    if (st->waypoint) st->waypoint->close_connection(st->tuple);
+    if (st->server_zt) st->server_zt->close_connection(st->tuple);
+  }
+  requests_.finish(st, status, loop_.now());
+}
+
 void AmbientMesh::send_request(const RequestOptions& opts,
                                RequestCallback done) {
-  struct State {
-    http::Request req;
-    net::FiveTuple tuple;
-    sim::TimePoint start = 0;
-    RequestOptions opts;
-    RequestCallback done;
-    proxy::ProxyEngine* client_zt = nullptr;
-    proxy::ProxyEngine* waypoint = nullptr;
-    proxy::ProxyEngine* server_zt = nullptr;
-    const k8s::Node* waypoint_host = nullptr;
-    proxy::UpstreamEndpoint* endpoint = nullptr;
-    k8s::Pod* target = nullptr;
-    std::shared_ptr<telemetry::Trace> trace;
-    [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
-  };
-  auto st = std::make_shared<State>();
-  st->start = loop_.now();
-  st->opts = opts;
-  st->done = std::move(done);
-  const net::TenantId tenant = effective_tenant(opts);
-  if (opts.trace) {
-    st->trace = std::make_shared<telemetry::Trace>();
-    st->trace->set_tenant(tenant);
-  }
+  RequestState* st = requests_.begin(opts, std::move(done), loop_.now());
+  st->self = this;
+  st->client_zt = nullptr;
+  st->waypoint = nullptr;
+  st->server_zt = nullptr;
+  st->waypoint_host = nullptr;
   if (opts.client == nullptr) {
     // Malformed request: no originating pod. Fail fast instead of
     // dereferencing null below.
-    RequestResult result;
-    result.status = 400;
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
+    requests_.finish(st, 400, loop_.now());
     return;
   }
-  st->req = build_request(opts);
+  build_request_into(opts, st->req);
   const std::uint16_t src_port =
       opts.src_port != 0 ? opts.src_port : next_port_++;
   st->tuple = net::FiveTuple{opts.client->ip(), service_vip(opts.dst_service),
                              src_port, 80, net::Protocol::kTcp};
   if (next_port_ < 20000) next_port_ = 20000;
 
-  auto finish = [this, st, tenant](int status) {
-    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-      --st->endpoint->active_requests;
-    }
-    if (st->opts.close_after) {
-      if (st->client_zt) st->client_zt->close_connection(st->tuple);
-      if (st->waypoint) st->waypoint->close_connection(st->tuple);
-      if (st->server_zt) st->server_zt->close_connection(st->tuple);
-    }
-    RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - st->start;
-    if (st->target != nullptr) result.served_by = st->target->id();
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
-  };
-
   if (cluster_.find_service(opts.dst_service) == nullptr) {
     // Unknown destination service: 404, matching every other dataplane
     // (a missing waypoint for a service that exists stays a 500 below).
-    finish(404);
+    finish_request(st, 404);
     return;
   }
   const auto zt_it = ztunnels_.find(&opts.client->node());
   const auto wp_it = waypoints_.find(opts.dst_service);
   if (zt_it == ztunnels_.end() || wp_it == waypoints_.end()) {
-    finish(500);
+    finish_request(st, 500);
     return;
   }
   st->client_zt = zt_it->second->engine.get();
@@ -219,142 +201,138 @@ void AmbientMesh::send_request(const RequestOptions& opts,
   if (config_.network.dropped(rng_, st->start)) {
     // Lost on the wire: `done` never fires; only a per-try timeout in the
     // retry layer recovers.
+    requests_.drop(st);
     return;
   }
 
   // L4 hop through the client-node ztunnel (mTLS originate).
   st->client_zt->handle_request(
       st->tuple, opts.dst_service, opts.new_connection, st->req,
-      [this, st, finish](proxy::ProxyEngine::RequestOutcome outcome) mutable {
-        if (!outcome.ok) {
-          finish(outcome.status);
-          return;
-        }
-        const sim::Duration hop1 = config_.network.hop_at(
-            st->opts.client->node(), *st->waypoint_host, loop_.now());
-        const sim::TimePoint wire1 = loop_.now();
-        loop_.post(hop1, [this, st, finish, wire1]() mutable {
-          if (st->trace) {
-            st->trace->add("link/client-waypoint", telemetry::Component::kLink,
-                           wire1, loop_.now(), 0, st->req.wire_size());
-          }
-          // L7 routing at the shared waypoint.
-          st->waypoint->handle_request(
-              st->tuple, st->opts.dst_service, st->opts.new_connection,
-              st->req,
-              [this, st,
-               finish](proxy::ProxyEngine::RequestOutcome outcome) mutable {
-                if (!outcome.ok) {
-                  finish(outcome.status);
-                  return;
-                }
-                if (outcome.endpoint == nullptr) {
-                  // 2xx/3xx direct response answered by the waypoint: no
-                  // upstream endpoint, nothing further to forward.
-                  finish(outcome.status);
-                  return;
-                }
-                st->endpoint = outcome.endpoint;
-                st->target = cluster_.find_pod(
-                    static_cast<net::PodId>(outcome.endpoint->key));
-                if (st->target == nullptr || !st->target->ready()) {
-                  finish(503);
-                  return;
-                }
-                st->server_zt = ztunnel_for(st->target->node()).engine.get();
-                const sim::Duration hop2 = config_.network.hop_at(
-                    *st->waypoint_host, st->target->node(), loop_.now());
-                const sim::TimePoint wire2 = loop_.now();
-                loop_.post(hop2, [this, st, finish, hop2,
-                                      wire2]() mutable {
-                  if (st->trace) {
-                    st->trace->add("link/waypoint-server",
-                                   telemetry::Component::kLink, wire2,
-                                   loop_.now(), 0, st->req.wire_size());
-                  }
-                  // L4 termination at the server-node ztunnel.
-                  st->server_zt->handle_inbound(
-                      st->tuple, st->opts.dst_service,
-                      st->opts.new_connection, st->req.wire_size(),
-                      [this, st, finish, hop2](bool ok, int status) mutable {
-                        if (!ok) {
-                          finish(status);
-                          return;
-                        }
-                        const sim::TimePoint app_start = loop_.now();
-                        st->target->handle_request(
-                            st->req,
-                            [this, st, finish, hop2,
-                             app_start](http::Response& resp) mutable {
-                              if (st->trace) {
-                                st->trace->add(
-                                    "app/" + std::to_string(net::id_value(
-                                                 st->target->id())),
-                                    telemetry::Component::kApp, app_start,
-                                    loop_.now(), 0, resp.wire_size(),
-                                    resp.status);
-                              }
-                              const std::uint64_t bytes = resp.wire_size();
-                              const int status = resp.status;
-                              const sim::Duration hop1 =
-                                  config_.network.hop_at(
-                                      st->opts.client->node(),
-                                      *st->waypoint_host, loop_.now());
-                              // Response: server zt -> waypoint -> client zt.
-                              st->server_zt->handle_response(
-                                  st->tuple, bytes,
-                                  [this, st, finish, bytes, status, hop1,
-                                   hop2]() mutable {
-                                    const sim::TimePoint wire3 = loop_.now();
-                                    loop_.post(hop2, [this, st, finish,
-                                                          bytes, status, hop1,
-                                                          wire3]() mutable {
-                                      if (st->trace) {
-                                        st->trace->add(
-                                            "link/server-waypoint",
-                                            telemetry::Component::kLink, wire3,
-                                            loop_.now(), 0, bytes);
-                                      }
-                                      st->waypoint->handle_response(
-                                          st->tuple, bytes,
-                                          [this, st, finish, bytes, status,
-                                           hop1]() mutable {
-                                            const sim::TimePoint wire4 =
-                                                loop_.now();
-                                            loop_.post(
-                                                hop1,
-                                                [this, st, finish, bytes,
-                                                 status, wire4]() mutable {
-                                                  if (st->trace) {
-                                                    st->trace->add(
-                                                        "link/waypoint-client",
-                                                        telemetry::Component::
-                                                            kLink,
-                                                        wire4, loop_.now(), 0,
-                                                        bytes);
-                                                  }
-                                                  st->client_zt
-                                                      ->handle_response(
-                                                          st->tuple, bytes,
-                                                          [finish, status]() mutable {
-                                                            finish(status);
-                                                          },
-                                                          st->tracer());
-                                                });
-                                          },
-                                          st->tracer());
-                                    });
-                                  },
-                                  st->tracer());
-                            });
-                      },
-                      st->tracer());
-                });
-              },
-              st->tracer());
-        });
+      [st](proxy::ProxyEngine::RequestOutcome outcome) {
+        st->self->on_client_outbound(st, outcome);
       },
       st->tracer());
+}
+
+void AmbientMesh::on_client_outbound(
+    RequestState* st, const proxy::ProxyEngine::RequestOutcome& outcome) {
+  if (!outcome.ok) {
+    finish_request(st, outcome.status);
+    return;
+  }
+  const sim::Duration hop1 = config_.network.hop_at(
+      st->opts.client->node(), *st->waypoint_host, loop_.now());
+  st->wire = loop_.now();
+  loop_.post(hop1, [st] { st->self->forward_to_waypoint(st); });
+}
+
+void AmbientMesh::forward_to_waypoint(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/client-waypoint", telemetry::Component::kLink,
+                   st->wire, loop_.now(), 0, st->req.wire_size());
+  }
+  // L7 routing at the shared waypoint.
+  st->waypoint->handle_request(
+      st->tuple, st->opts.dst_service, st->opts.new_connection, st->req,
+      [st](proxy::ProxyEngine::RequestOutcome outcome) {
+        st->self->on_waypoint_routed(st, outcome);
+      },
+      st->tracer());
+}
+
+void AmbientMesh::on_waypoint_routed(
+    RequestState* st, const proxy::ProxyEngine::RequestOutcome& outcome) {
+  if (!outcome.ok) {
+    finish_request(st, outcome.status);
+    return;
+  }
+  if (outcome.endpoint == nullptr) {
+    // 2xx/3xx direct response answered by the waypoint: no upstream
+    // endpoint, nothing further to forward.
+    finish_request(st, outcome.status);
+    return;
+  }
+  st->endpoint = outcome.endpoint;
+  st->target =
+      cluster_.find_pod(static_cast<net::PodId>(outcome.endpoint->key));
+  if (st->target == nullptr || !st->target->ready()) {
+    finish_request(st, 503);
+    return;
+  }
+  st->server_zt = ztunnel_for(st->target->node()).engine.get();
+  st->hop2 = config_.network.hop_at(*st->waypoint_host, st->target->node(),
+                                    loop_.now());
+  st->wire = loop_.now();
+  loop_.post(st->hop2, [st] { st->self->deliver_to_server(st); });
+}
+
+void AmbientMesh::deliver_to_server(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/waypoint-server", telemetry::Component::kLink,
+                   st->wire, loop_.now(), 0, st->req.wire_size());
+  }
+  // L4 termination at the server-node ztunnel.
+  st->server_zt->handle_inbound(
+      st->tuple, st->opts.dst_service, st->opts.new_connection,
+      st->req.wire_size(),
+      [st](bool ok, int status) {
+        st->self->on_server_inbound(st, ok, status);
+      },
+      st->tracer());
+}
+
+void AmbientMesh::on_server_inbound(RequestState* st, bool ok, int status) {
+  if (!ok) {
+    finish_request(st, status);
+    return;
+  }
+  st->app_start = loop_.now();
+  st->target->handle_request(st->req, [st](http::Response& resp) {
+    AmbientMesh& self = *st->self;
+    if (st->trace) {
+      st->trace->add("app/" + std::to_string(net::id_value(st->target->id())),
+                     telemetry::Component::kApp, st->app_start,
+                     self.loop_.now(), 0, resp.wire_size(), resp.status);
+    }
+    st->resp_bytes = resp.wire_size();
+    st->resp_status = resp.status;
+    st->hop_back = self.config_.network.hop_at(
+        st->opts.client->node(), *st->waypoint_host, self.loop_.now());
+    // Response: server zt -> waypoint -> client zt.
+    st->server_zt->handle_response(
+        st->tuple, st->resp_bytes,
+        [st] {
+          st->wire = st->self->loop_.now();
+          st->self->loop_.post(st->hop2,
+                               [st] { st->self->return_via_waypoint(st); });
+        },
+        st->tracer());
+  });
+}
+
+void AmbientMesh::return_via_waypoint(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/server-waypoint", telemetry::Component::kLink,
+                   st->wire, loop_.now(), 0, st->resp_bytes);
+  }
+  st->waypoint->handle_response(
+      st->tuple, st->resp_bytes,
+      [st] {
+        st->wire = st->self->loop_.now();
+        st->self->loop_.post(st->hop_back,
+                             [st] { st->self->return_to_client(st); });
+      },
+      st->tracer());
+}
+
+void AmbientMesh::return_to_client(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/waypoint-client", telemetry::Component::kLink,
+                   st->wire, loop_.now(), 0, st->resp_bytes);
+  }
+  st->client_zt->handle_response(
+      st->tuple, st->resp_bytes,
+      [st] { st->self->finish_request(st, st->resp_status); }, st->tracer());
 }
 
 std::size_t AmbientMesh::ztunnel_config_bytes() const {

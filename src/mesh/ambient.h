@@ -94,7 +94,23 @@ class AmbientMesh final : public MeshDataplane {
     const k8s::Node* host = nullptr;
   };
 
+  /// Pooled request slot (DESIGN.md §14), defined in the .cc.
+  struct RequestState;
+
   Ztunnel& ztunnel_for(const k8s::Node& node);
+
+  // send_request's hop chain, one member per async boundary (request out:
+  // client ztunnel -> waypoint -> server ztunnel -> pod; response back).
+  void on_client_outbound(RequestState* st,
+                          const proxy::ProxyEngine::RequestOutcome& outcome);
+  void forward_to_waypoint(RequestState* st);
+  void on_waypoint_routed(RequestState* st,
+                          const proxy::ProxyEngine::RequestOutcome& outcome);
+  void deliver_to_server(RequestState* st);
+  void on_server_inbound(RequestState* st, bool ok, int status);
+  void return_via_waypoint(RequestState* st);
+  void return_to_client(RequestState* st);
+  void finish_request(RequestState* st, int status);
   Waypoint& waypoint_for(const k8s::Service& service);
   [[nodiscard]] std::size_t ztunnel_config_bytes() const;
 
@@ -109,6 +125,7 @@ class AmbientMesh final : public MeshDataplane {
   sim::FlatOrderedMap<net::ServiceId, std::unique_ptr<Waypoint>> waypoints_;
   std::size_t waypoint_placement_cursor_ = 0;
   std::uint16_t next_port_ = 20000;
+  RequestSlots<RequestState> requests_;
 };
 
 }  // namespace canal::mesh

@@ -128,10 +128,18 @@ sim::Duration RetryPolicy::backoff_before(std::uint32_t attempt,
   return backoff;
 }
 
-namespace {
-
-/// Shared state of one logical request moving through retry attempts.
-struct RetryState {
+/// Pooled state of one logical request moving through retry attempts
+/// (DESIGN.md §14). Every closure it hands out captures the slot pointer
+/// plus, for an attempt's two racers (the dataplane's completion and the
+/// per-try timeout), the attempt's generation.
+///
+/// Generation rule: `generation` is bumped when an attempt settles (first
+/// writer wins) and is never reset, not even when the slot is reused by
+/// another request. An attempt's racers capture the value current when the
+/// attempt started, so the loser, and any completion that arrives after
+/// its request has finished and the slot moved on, finds a stale
+/// generation and does nothing.
+struct MeshDataplane::RetryState {
   MeshDataplane* mesh = nullptr;
   sim::EventLoop* loop = nullptr;
   RequestOptions opts;
@@ -141,7 +149,11 @@ struct RetryState {
   proxy::ResilienceChain* chain = nullptr;  ///< owned by the dataplane
   RequestCallback done;
   sim::TimePoint send = 0;
+  sim::TimePoint attempt_start = 0;
+  sim::TimePoint wait_start = 0;  ///< start of the backoff in progress
   std::uint32_t attempt = 0;
+  std::uint64_t generation = 0;
+  sim::EventHandle timeout;  ///< the current attempt's per-try timeout
   net::TenantId tenant{};
   /// Resilience disturbance epoch of the destination service at send;
   /// a change by completion marks the outcome resilience_affected.
@@ -149,30 +161,18 @@ struct RetryState {
   bool affected = false;
   std::shared_ptr<telemetry::Trace> merged;  ///< null when tracing is off
 
+  void run_attempt();
+  void on_timeout(std::uint64_t gen);
+  void on_response(std::uint64_t gen, const RequestResult& result);
+  void settle(const RequestResult& result, bool timed_out);
+  void finish(const RequestResult& last, bool timed_out);
+
   void append_attempt_trace(const telemetry::Trace& attempt_trace) {
     if (!merged) return;
     for (const auto& span : attempt_trace.spans()) {
       merged->add(span.name, span.component, span.start, span.end,
                   span.queue_wait, span.bytes, span.status);
     }
-  }
-
-  void finish(const RequestResult& last, bool timed_out) {
-    RequestResult result;
-    result.status = last.status;
-    result.latency = loop->now() - send;
-    result.served_by = last.served_by;
-    result.attempts = attempt;
-    result.timed_out = timed_out;
-    result.tenant = tenant;
-    result.trace = merged;
-    if (chain != nullptr) {
-      result.resilience_affected =
-          affected ||
-          chain->disturbance_epoch(opts.dst_service) != epoch_at_send ||
-          chain->disturbed(opts.dst_service);
-    }
-    done(result);
   }
 
   /// Feeds one completed attempt into the breaker/outlier stages.
@@ -183,81 +183,105 @@ struct RetryState {
   }
 };
 
-void run_attempt(std::shared_ptr<RetryState> st);
+MeshDataplane::MeshDataplane() = default;
+MeshDataplane::~MeshDataplane() = default;
+
+void MeshDataplane::RetryState::run_attempt() {
+  ++attempt;
+  attempt_start = loop->now();
+  const std::uint64_t gen = generation;
+  timeout = sim::EventHandle{};
+  if (policy.per_try_timeout > 0) {
+    timeout = loop->schedule(policy.per_try_timeout,
+                             [st = this, gen] { st->on_timeout(gen); });
+  }
+  // Last: the dataplane may answer synchronously and end the request.
+  mesh->send_request(opts, [st = this, gen](RequestResult result) {
+    st->on_response(gen, result);
+  });
+}
+
+void MeshDataplane::RetryState::on_timeout(std::uint64_t gen) {
+  if (gen != generation) return;
+  ++generation;
+  if (merged) {
+    // The abandoned attempt's own spans never arrive; one kRetry span
+    // covers its window so the merged trace stays gapless.
+    merged->add("retry/timeout-attempt-" + std::to_string(attempt),
+                telemetry::Component::kRetry, attempt_start, loop->now(), 0,
+                0, 504);
+  }
+  feed_chain(net::PodId{}, 504);
+  RequestResult timed_out;
+  timed_out.status = 504;
+  timed_out.timed_out = true;
+  settle(timed_out, /*timed_out=*/true);
+}
+
+void MeshDataplane::RetryState::on_response(std::uint64_t gen,
+                                            const RequestResult& result) {
+  if (gen != generation) return;  // attempt abandoned, or slot moved on
+  ++generation;
+  timeout.cancel();
+  if (result.trace) append_attempt_trace(*result.trace);
+  feed_chain(result.served_by, result.status);
+  settle(result, /*timed_out=*/false);
+}
 
 /// Classifies `result` (produced at loop->now()): either it ends the
 /// request, or — retryable status, attempts left, budget admits — the next
 /// attempt is scheduled after backoff.
-void settle_attempt(const std::shared_ptr<RetryState>& st,
-                    const RequestResult& result, bool timed_out) {
-  bool want_retry = st->policy.retryable(result.status) &&
-                    st->attempt < st->policy.max_attempts;
-  if (want_retry && st->chain != nullptr &&
-      !st->chain->attempt_allowed(st->opts.dst_service)) {
+void MeshDataplane::RetryState::settle(const RequestResult& result,
+                                       bool timed_out) {
+  bool want_retry =
+      policy.retryable(result.status) && attempt < policy.max_attempts;
+  if (want_retry && chain != nullptr &&
+      !chain->attempt_allowed(opts.dst_service)) {
     // The breaker opened under us: don't retry into an open breaker; the
     // current result stands and the outcome is marked affected.
     want_retry = false;
-    st->affected = true;
+    affected = true;
   }
   const bool admitted =
-      want_retry && (st->budget == nullptr || st->budget->try_acquire());
+      want_retry && (budget == nullptr || budget->try_acquire());
   if (!admitted) {
-    st->finish(result, timed_out);
+    finish(result, timed_out);
     return;
   }
-  const sim::Duration wait =
-      st->policy.backoff_before(st->attempt + 1, *st->rng);
-  const sim::TimePoint wait_start = st->loop->now();
-  st->loop->post(wait, [st, wait_start]() {
-    if (st->merged && st->loop->now() > wait_start) {
+  const sim::Duration wait = policy.backoff_before(attempt + 1, *rng);
+  wait_start = loop->now();
+  loop->post(wait, [st = this] {
+    if (st->merged && st->loop->now() > st->wait_start) {
       st->merged->add("retry/backoff", telemetry::Component::kRetry,
-                      wait_start, st->loop->now());
+                      st->wait_start, st->loop->now());
     }
-    run_attempt(st);
+    st->run_attempt();
   });
 }
 
-void run_attempt(std::shared_ptr<RetryState> st) {
-  ++st->attempt;
-  const sim::TimePoint attempt_start = st->loop->now();
-  // First writer wins: either the dataplane's completion or the per-try
-  // timeout. The loser finds `*settled` set and backs off.
-  auto settled = std::make_shared<bool>(false);
-  auto timeout = std::make_shared<sim::EventHandle>();
-
-  if (st->policy.per_try_timeout > 0) {
-    *timeout = st->loop->schedule(
-        st->policy.per_try_timeout, [st, settled, attempt_start]() {
-          if (*settled) return;
-          *settled = true;
-          if (st->merged) {
-            // The abandoned attempt's own spans never arrive; one kRetry
-            // span covers its window so the merged trace stays gapless.
-            st->merged->add(
-                "retry/timeout-attempt-" + std::to_string(st->attempt),
-                telemetry::Component::kRetry, attempt_start, st->loop->now(),
-                0, 0, 504);
-          }
-          st->feed_chain(net::PodId{}, 504);
-          RequestResult timed_out;
-          timed_out.status = 504;
-          timed_out.timed_out = true;
-          settle_attempt(st, timed_out, /*timed_out=*/true);
-        });
+void MeshDataplane::RetryState::finish(const RequestResult& last,
+                                       bool timed_out) {
+  RequestResult result;
+  result.status = last.status;
+  result.latency = loop->now() - send;
+  result.served_by = last.served_by;
+  result.attempts = attempt;
+  result.timed_out = timed_out;
+  result.tenant = tenant;
+  result.trace = std::move(merged);
+  if (chain != nullptr) {
+    result.resilience_affected =
+        affected ||
+        chain->disturbance_epoch(opts.dst_service) != epoch_at_send ||
+        chain->disturbed(opts.dst_service);
   }
-
-  st->mesh->send_request(st->opts, [st, settled,
-                                    timeout](RequestResult result) {
-    if (*settled) return;  // attempt already abandoned by the timeout
-    *settled = true;
-    timeout->cancel();
-    if (result.trace) st->append_attempt_trace(*result.trace);
-    st->feed_chain(result.served_by, result.status);
-    settle_attempt(st, result, /*timed_out=*/false);
-  });
+  // Release before invoking, as the dataplanes do: a request issued from
+  // `cb` may reuse this slot.
+  RequestCallback cb = std::move(done);
+  done = nullptr;
+  mesh->retry_states_.release(this);
+  cb(std::move(result));
 }
-
-}  // namespace
 
 void MeshDataplane::enable_resilience(const proxy::ResilienceConfig& config) {
   proxy::ResilienceChain::Hooks hooks;
@@ -316,7 +340,7 @@ void MeshDataplane::send_request_with_retries(const RequestOptions& opts,
       return;
     }
   }
-  auto st = std::make_shared<RetryState>();
+  RetryState* st = retry_states_.acquire();
   st->mesh = this;
   st->loop = &event_loop();
   st->opts = opts;
@@ -325,8 +349,11 @@ void MeshDataplane::send_request_with_retries(const RequestOptions& opts,
   st->budget = budget;
   st->done = std::move(done);
   st->send = st->loop->now();
+  st->attempt = 0;
   st->tenant = effective_tenant(opts);
   st->chain = resilience_.get();
+  st->epoch_at_send = 0;
+  st->affected = false;
   if (st->chain != nullptr) {
     st->epoch_at_send = st->chain->disturbance_epoch(opts.dst_service);
     st->affected = st->chain->disturbed(opts.dst_service);
@@ -336,7 +363,7 @@ void MeshDataplane::send_request_with_retries(const RequestOptions& opts,
     st->merged->set_tenant(st->tenant);
   }
   if (budget != nullptr) budget->on_request();
-  run_attempt(std::move(st));
+  st->run_attempt();
 }
 
 http::Request build_request(const RequestOptions& opts) {
@@ -379,6 +406,19 @@ void build_request_into(const RequestOptions& opts, http::Request& req) {
   }
 }
 
+/// Pooled continuation state of one NoMesh request (DESIGN.md §14).
+struct NoMesh::RequestState : RequestSlot {
+  NoMesh* self = nullptr;
+  sim::Duration hop = 0;  ///< client<->server transit, both directions
+  sim::TimePoint app_start = 0;
+};
+
+NoMesh::NoMesh(sim::EventLoop& loop, k8s::Cluster& cluster, NetworkProfile net,
+               std::uint64_t seed)
+    : loop_(loop), cluster_(cluster), net_(net), rng_(seed) {}
+
+NoMesh::~NoMesh() = default;
+
 void NoMesh::apply_endpoint_health(net::ServiceId, std::uint64_t endpoint_key,
                                    bool healthy) {
   if (healthy) {
@@ -393,77 +433,79 @@ std::size_t NoMesh::service_endpoint_total(net::ServiceId service) const {
   return obj != nullptr ? obj->endpoints.size() : 0;
 }
 
+bool NoMesh::eligible(const k8s::Pod* pod) const {
+  return pod != nullptr && pod->ready() &&
+         (ejected_.empty() || !ejected_.contains(net::id_value(pod->id())));
+}
+
 void NoMesh::send_request(const RequestOptions& opts, RequestCallback done) {
-  const sim::TimePoint start = loop_.now();
-  const net::TenantId tenant = effective_tenant(opts);
-  auto trace =
-      opts.trace ? std::make_shared<telemetry::Trace>() : nullptr;
-  if (trace) trace->set_tenant(tenant);
-  auto finish = [this, start, tenant, trace, done = std::move(done)](
-                    int status, net::PodId served_by) {
-    RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - start;
-    result.served_by = served_by;
-    result.tenant = tenant;
-    result.trace = trace;
-    done(result);
-  };
+  RequestState* st = requests_.begin(opts, std::move(done), loop_.now());
+  st->self = this;
   if (opts.client == nullptr) {
-    finish(400, net::PodId{});
+    requests_.finish(st, 400, loop_.now());
     return;
   }
-  k8s::Service* service = cluster_.find_service(opts.dst_service);
+  const k8s::Service* service = cluster_.find_service(opts.dst_service);
   if (service == nullptr) {
-    finish(404, net::PodId{});
+    requests_.finish(st, 404, loop_.now());
     return;
   }
-  auto endpoints = service->ready_endpoints();
-  if (!ejected_.empty()) {
-    std::erase_if(endpoints, [this](const k8s::Pod* pod) {
-      return ejected_.contains(net::id_value(pod->id()));
-    });
+  // Round robin over the ready, non-ejected endpoints, counted in place
+  // rather than collected into a vector.
+  std::size_t candidates = 0;
+  for (const k8s::Pod* pod : service->endpoints) {
+    if (eligible(pod)) ++candidates;
   }
-  if (endpoints.empty()) {
-    finish(503, net::PodId{});
+  if (candidates == 0) {
+    requests_.finish(st, 503, loop_.now());
     return;
   }
-  if (net_.dropped(rng_, start)) {
+  if (net_.dropped(rng_, st->start)) {
     // The request is lost on the wire: `done` never fires. Only a per-try
     // timeout in the retry layer recovers from this.
+    requests_.drop(st);
     return;
   }
-  k8s::Pod* target = endpoints[rr_++ % endpoints.size()];
-  const sim::Duration hop =
-      net_.hop_at(opts.client->node(), target->node(), start);
-  auto req = std::make_shared<http::Request>(build_request(opts));
-  loop_.post(hop, [this, req, target, hop, trace, start,
-                       finish = std::move(finish)]() mutable {
-    if (trace) {
-      trace->add("link/client-server", telemetry::Component::kLink, start,
-                 loop_.now());
+  std::size_t pick = rr_++ % candidates;
+  for (k8s::Pod* pod : service->endpoints) {
+    if (!eligible(pod)) continue;
+    if (pick == 0) {
+      st->target = pod;
+      break;
     }
-    const sim::TimePoint app_start = loop_.now();
-    target->handle_request(*req, [this, req, target, hop, trace, app_start,
-                                  finish = std::move(finish)](
-                                     http::Response& resp) mutable {
-      if (trace) {
-        trace->add("app/" + std::to_string(net::id_value(target->id())),
-                   telemetry::Component::kApp, app_start, loop_.now(), 0,
-                   resp.wire_size(), resp.status);
-      }
-      const sim::TimePoint back_start = loop_.now();
-      loop_.post(hop, [this, trace, back_start,
-                           finish = std::move(finish), status = resp.status,
-                           id = target->id()]() mutable {
-        if (trace) {
-          trace->add("link/server-client", telemetry::Component::kLink,
-                     back_start, loop_.now());
-        }
-        finish(status, id);
-      });
-    });
+    --pick;
+  }
+  st->hop = net_.hop_at(opts.client->node(), st->target->node(), st->start);
+  build_request_into(opts, st->req);
+  st->wire = st->start;
+  loop_.post(st->hop, [st] { st->self->deliver_to_server(st); });
+}
+
+void NoMesh::deliver_to_server(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/client-server", telemetry::Component::kLink,
+                   st->wire, loop_.now());
+  }
+  st->app_start = loop_.now();
+  st->target->handle_request(st->req, [st](http::Response& resp) {
+    NoMesh& self = *st->self;
+    if (st->trace) {
+      st->trace->add("app/" + std::to_string(net::id_value(st->target->id())),
+                     telemetry::Component::kApp, st->app_start,
+                     self.loop_.now(), 0, resp.wire_size(), resp.status);
+    }
+    st->resp_status = resp.status;
+    st->wire = self.loop_.now();
+    self.loop_.post(st->hop, [st] { st->self->return_to_client(st); });
   });
+}
+
+void NoMesh::return_to_client(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/server-client", telemetry::Component::kLink,
+                   st->wire, loop_.now());
+  }
+  requests_.finish(st, st->resp_status, loop_.now());
 }
 
 }  // namespace canal::mesh

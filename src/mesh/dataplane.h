@@ -22,6 +22,7 @@
 #include "net/ids.h"
 #include "proxy/engine.h"
 #include "proxy/resilience.h"
+#include "sim/arena.h"
 #include "sim/fault.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -137,6 +138,86 @@ using RequestCallback = std::function<void(RequestResult)>;
   return opts.client != nullptr ? opts.client->tenant() : net::TenantId{};
 }
 
+/// Fields every dataplane's pooled per-request state carries (DESIGN.md
+/// §14). A plane's slot type derives from this and adds the pointers its
+/// own hops need. The whole request chain captures only the slot pointer,
+/// so each hop's closure fits std::function's small buffer, and the
+/// http::Request and options copy keep their capacity across reuse.
+struct RequestSlot {
+  http::Request req;
+  net::FiveTuple tuple{};
+  sim::TimePoint start = 0;
+  net::TenantId tenant{};
+  RequestOptions opts;
+  RequestCallback done;
+  std::shared_ptr<telemetry::Trace> trace;
+  proxy::UpstreamEndpoint* endpoint = nullptr;  ///< LB pick, if any
+  k8s::Pod* target = nullptr;                   ///< serving pod, if any
+  sim::TimePoint wire = 0;  ///< start of the hop currently in flight
+  std::uint64_t resp_bytes = 0;
+  int resp_status = 0;
+  [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
+};
+
+/// One plane's pool of request slots and the begin / finish / drop
+/// protocol every send_request follows. `Slot` derives from RequestSlot.
+/// Every path out of a request returns its slot exactly once: finish() for
+/// a request that answers, drop() for one lost on the wire.
+template <typename Slot>
+class RequestSlots {
+ public:
+  /// Acquires a slot for a request sent at `now` and resets the common
+  /// fields. Plane-specific fields keep their last values; the plane
+  /// resets those it reads. `traced` = false withholds the trace even when
+  /// opts.trace asks for one (a plane with no on-path collection point).
+  Slot* begin(const RequestOptions& opts, RequestCallback done,
+              sim::TimePoint now, bool traced = true) {
+    Slot* st = pool_.acquire();
+    st->start = now;
+    st->tenant = effective_tenant(opts);
+    st->opts = opts;
+    st->done = std::move(done);
+    st->endpoint = nullptr;
+    st->target = nullptr;
+    if (traced && opts.trace) {
+      st->trace = std::make_shared<telemetry::Trace>();
+      st->trace->set_tenant(st->tenant);
+    }
+    return st;
+  }
+
+  /// Ends the request with `status` at `now`: returns the endpoint's
+  /// in-flight count, releases the slot, then invokes `done`. The result
+  /// owns everything `done` reads, so a request issued from inside `done`
+  /// may reuse this very slot.
+  void finish(Slot* st, int status, sim::TimePoint now) {
+    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
+      --st->endpoint->active_requests;
+    }
+    RequestResult result;
+    result.status = status;
+    result.latency = now - st->start;
+    if (st->target != nullptr) result.served_by = st->target->id();
+    result.tenant = st->tenant;
+    result.trace = std::move(st->trace);
+    RequestCallback done = std::move(st->done);
+    st->done = nullptr;
+    pool_.release(st);
+    done(std::move(result));
+  }
+
+  /// Releases the slot of a request lost on the wire: `done` never fires,
+  /// so only a per-try timeout in the retry layer recovers it.
+  void drop(Slot* st) {
+    st->done = nullptr;
+    st->trace.reset();
+    pool_.release(st);
+  }
+
+ private:
+  sim::Pool<Slot> pool_;
+};
+
 /// Client-side retry/timeout policy, applied identically on top of any
 /// dataplane by MeshDataplane::send_request_with_retries. Backoff is capped
 /// exponential with deterministic jitter drawn from the caller's Rng, so a
@@ -204,7 +285,8 @@ class RetryBudget {
 /// A service mesh dataplane + its control-plane footprint.
 class MeshDataplane {
  public:
-  virtual ~MeshDataplane() = default;
+  MeshDataplane();
+  virtual ~MeshDataplane();
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
@@ -285,6 +367,12 @@ class MeshDataplane {
       net::ServiceId service) const;
 
   std::unique_ptr<proxy::ResilienceChain> resilience_;
+
+ private:
+  /// Pooled state of one logical request in the retry layer; defined in
+  /// the .cc (hence the out-of-line constructor and destructor).
+  struct RetryState;
+  sim::Pool<RetryState> retry_states_;
 };
 
 /// Serialized size of one service's routes + endpoints ("per-service
@@ -323,8 +411,8 @@ void refresh_endpoints(proxy::ProxyEngine& engine, const k8s::Service& service);
 class NoMesh final : public MeshDataplane {
  public:
   NoMesh(sim::EventLoop& loop, k8s::Cluster& cluster, NetworkProfile net = {},
-         std::uint64_t seed = 0x6e6f2d6d657368ULL)
-      : loop_(loop), cluster_(cluster), net_(net), rng_(seed) {}
+         std::uint64_t seed = 0x6e6f2d6d657368ULL);
+  ~NoMesh() override;
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "no-mesh";
@@ -347,7 +435,7 @@ class NoMesh final : public MeshDataplane {
 
  protected:
   /// NoMesh has no proxy LB sets; ejection maintains a client-side
-  /// excluded-pod set filtered out of ready_endpoints() in send_request.
+  /// excluded-pod set that send_request skips when picking an endpoint.
   void apply_endpoint_health(net::ServiceId service,
                              std::uint64_t endpoint_key,
                              bool healthy) override;
@@ -355,12 +443,21 @@ class NoMesh final : public MeshDataplane {
       net::ServiceId service) const override;
 
  private:
+  struct RequestState;  ///< pooled request slot, defined in the .cc
+
+  // send_request's hop chain, one member per async boundary.
+  void deliver_to_server(RequestState* st);
+  void return_to_client(RequestState* st);
+  /// True when `pod` may serve a request: ready and not ejected.
+  [[nodiscard]] bool eligible(const k8s::Pod* pod) const;
+
   sim::EventLoop& loop_;
   k8s::Cluster& cluster_;
   NetworkProfile net_;
   sim::Rng rng_;  ///< loss decisions under an armed fault plan
   std::size_t rr_ = 0;
   std::unordered_set<std::uint64_t> ejected_;  ///< outlier-ejected pod keys
+  RequestSlots<RequestState> requests_;
 };
 
 /// Builds the HTTP request described by `opts`.

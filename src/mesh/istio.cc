@@ -13,6 +13,16 @@ proxy::ProxyCostModel IstioMesh::Config::default_sidecar_costs() {
   return costs;
 }
 
+/// Pooled continuation state of one istio request: every hop captures
+/// only this pointer (DESIGN.md §14).
+struct IstioMesh::RequestState : RequestSlot {
+  IstioMesh* self = nullptr;
+  proxy::ProxyEngine* client_sc = nullptr;
+  proxy::ProxyEngine* server_sc = nullptr;
+  sim::Duration hop = 0;  ///< client<->server transit, both directions
+  sim::TimePoint app_start = 0;
+};
+
 IstioMesh::IstioMesh(sim::EventLoop& loop, k8s::Cluster& cluster,
                      Config config, sim::Rng rng)
     : loop_(loop), cluster_(cluster), config_(config), rng_(rng) {}
@@ -88,67 +98,36 @@ std::size_t IstioMesh::service_endpoint_total(net::ServiceId service) const {
   return obj != nullptr ? obj->endpoints.size() : 0;
 }
 
+void IstioMesh::finish_request(RequestState* st, int status) {
+  if (st->opts.close_after) {
+    if (st->client_sc) st->client_sc->close_connection(st->tuple);
+    if (st->server_sc) st->server_sc->close_connection(st->tuple);
+  }
+  requests_.finish(st, status, loop_.now());
+}
+
 void IstioMesh::send_request(const RequestOptions& opts,
                              RequestCallback done) {
-  struct State {
-    http::Request req;
-    net::FiveTuple tuple;
-    sim::TimePoint start = 0;
-    RequestOptions opts;
-    RequestCallback done;
-    proxy::ProxyEngine* client_sc = nullptr;
-    proxy::ProxyEngine* server_sc = nullptr;
-    proxy::UpstreamEndpoint* endpoint = nullptr;
-    k8s::Pod* target = nullptr;
-    std::shared_ptr<telemetry::Trace> trace;
-    [[nodiscard]] telemetry::Trace* tracer() const { return trace.get(); }
-  };
-  auto st = std::make_shared<State>();
-  st->start = loop_.now();
-  st->opts = opts;
-  st->done = std::move(done);
-  const net::TenantId tenant = effective_tenant(opts);
-  if (opts.trace) {
-    st->trace = std::make_shared<telemetry::Trace>();
-    st->trace->set_tenant(tenant);
-  }
+  RequestState* st = requests_.begin(opts, std::move(done), loop_.now());
+  st->self = this;
+  st->client_sc = nullptr;
+  st->server_sc = nullptr;
   if (opts.client == nullptr) {
     // Malformed request: no originating pod. Fail fast instead of
     // dereferencing null below.
-    RequestResult result;
-    result.status = 400;
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
+    requests_.finish(st, 400, loop_.now());
     return;
   }
-  st->req = build_request(opts);
+  build_request_into(opts, st->req);
   const std::uint16_t src_port =
       opts.src_port != 0 ? opts.src_port : next_port_++;
   st->tuple = net::FiveTuple{opts.client->ip(), service_vip(opts.dst_service),
                              src_port, 80, net::Protocol::kTcp};
   if (next_port_ < 10000) next_port_ = 10000;
 
-  auto finish = [this, st, tenant](int status) {
-    if (st->endpoint != nullptr && st->endpoint->active_requests > 0) {
-      --st->endpoint->active_requests;
-    }
-    if (st->opts.close_after) {
-      if (st->client_sc) st->client_sc->close_connection(st->tuple);
-      if (st->server_sc) st->server_sc->close_connection(st->tuple);
-    }
-    RequestResult result;
-    result.status = status;
-    result.latency = loop_.now() - st->start;
-    if (st->target != nullptr) result.served_by = st->target->id();
-    result.tenant = tenant;
-    result.trace = st->trace;
-    st->done(result);
-  };
-
   const auto sc_it = sidecars_.find(opts.client->id());
   if (sc_it == sidecars_.end()) {
-    finish(500);
+    finish_request(st, 500);
     return;
   }
   st->client_sc = sc_it->second.engine.get();
@@ -157,95 +136,100 @@ void IstioMesh::send_request(const RequestOptions& opts,
     // Lost on the wire: `done` never fires; only a per-try timeout in the
     // retry layer recovers. One loss draw per attempt keeps runs
     // reproducible for a fixed seed.
+    requests_.drop(st);
     return;
   }
 
   // Outbound: app -> (iptables) client sidecar: L7 route + endpoint pick.
   st->client_sc->handle_request(
       st->tuple, opts.dst_service, opts.new_connection, st->req,
-      [this, st, finish](proxy::ProxyEngine::RequestOutcome outcome) mutable {
-        if (!outcome.ok) {
-          finish(outcome.status);
-          return;
-        }
-        if (outcome.endpoint == nullptr) {
-          // 2xx/3xx direct response answered by the sidecar itself: there
-          // is no upstream endpoint and nothing further to forward.
-          finish(outcome.status);
-          return;
-        }
-        st->endpoint = outcome.endpoint;
-        st->target =
-            cluster_.find_pod(static_cast<net::PodId>(outcome.endpoint->key));
-        if (st->target == nullptr || !st->target->ready()) {
-          finish(503);
-          return;
-        }
-        const auto server_it = sidecars_.find(st->target->id());
-        if (server_it == sidecars_.end()) {
-          finish(503);
-          return;
-        }
-        st->server_sc = server_it->second.engine.get();
-        const sim::Duration hop = config_.network.hop_at(
-            st->opts.client->node(), st->target->node(), loop_.now());
-
-        // Wire transit, then inbound through the server-side sidecar.
-        const sim::TimePoint wire_out = loop_.now();
-        loop_.post(hop, [this, st, finish, hop, wire_out]() mutable {
-          if (st->trace) {
-            st->trace->add("link/client-server", telemetry::Component::kLink,
-                           wire_out, loop_.now(), 0, st->req.wire_size());
-          }
-          st->server_sc->handle_inbound(
-              st->tuple, st->opts.dst_service, st->opts.new_connection,
-              st->req.wire_size(),
-              [this, st, finish, hop](bool ok, int status) mutable {
-                if (!ok) {
-                  finish(status);
-                  return;
-                }
-                const sim::TimePoint app_start = loop_.now();
-                st->target->handle_request(
-                    st->req, [this, st, finish, hop,
-                              app_start](http::Response& resp) mutable {
-                      if (st->trace) {
-                        st->trace->add(
-                            "app/" +
-                                std::to_string(net::id_value(st->target->id())),
-                            telemetry::Component::kApp, app_start, loop_.now(),
-                            0, resp.wire_size(), resp.status);
-                      }
-                      const std::uint64_t resp_bytes = resp.wire_size();
-                      const int status = resp.status;
-                      // Response: server sidecar -> wire -> client sidecar.
-                      st->server_sc->handle_response(
-                          st->tuple, resp_bytes,
-                          [this, st, finish, hop, resp_bytes, status]() mutable {
-                            const sim::TimePoint wire_back = loop_.now();
-                            loop_.post(hop, [this, st, finish, resp_bytes,
-                                                 status, wire_back]() mutable {
-                              if (st->trace) {
-                                st->trace->add("link/server-client",
-                                               telemetry::Component::kLink,
-                                               wire_back, loop_.now(), 0,
-                                               resp_bytes);
-                              }
-                              st->client_sc->handle_response(
-                                  st->tuple, resp_bytes,
-                                  [finish, status]() mutable {
-                                    finish(status);
-                                  },
-                                  st->tracer());
-                            });
-                          },
-                          st->tracer());
-                    });
-              },
-              st->tracer());
-        });
+      [st](proxy::ProxyEngine::RequestOutcome outcome) {
+        st->self->on_client_outbound(st, outcome);
       },
       st->tracer());
+}
+
+void IstioMesh::on_client_outbound(
+    RequestState* st, const proxy::ProxyEngine::RequestOutcome& outcome) {
+  if (!outcome.ok) {
+    finish_request(st, outcome.status);
+    return;
+  }
+  if (outcome.endpoint == nullptr) {
+    // 2xx/3xx direct response answered by the sidecar itself: there is no
+    // upstream endpoint and nothing further to forward.
+    finish_request(st, outcome.status);
+    return;
+  }
+  st->endpoint = outcome.endpoint;
+  st->target =
+      cluster_.find_pod(static_cast<net::PodId>(outcome.endpoint->key));
+  if (st->target == nullptr || !st->target->ready()) {
+    finish_request(st, 503);
+    return;
+  }
+  const auto server_it = sidecars_.find(st->target->id());
+  if (server_it == sidecars_.end()) {
+    finish_request(st, 503);
+    return;
+  }
+  st->server_sc = server_it->second.engine.get();
+  st->hop = config_.network.hop_at(st->opts.client->node(),
+                                   st->target->node(), loop_.now());
+  // Wire transit, then inbound through the server-side sidecar.
+  st->wire = loop_.now();
+  loop_.post(st->hop, [st] { st->self->deliver_to_server(st); });
+}
+
+void IstioMesh::deliver_to_server(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/client-server", telemetry::Component::kLink,
+                   st->wire, loop_.now(), 0, st->req.wire_size());
+  }
+  st->server_sc->handle_inbound(
+      st->tuple, st->opts.dst_service, st->opts.new_connection,
+      st->req.wire_size(),
+      [st](bool ok, int status) {
+        st->self->on_server_inbound(st, ok, status);
+      },
+      st->tracer());
+}
+
+void IstioMesh::on_server_inbound(RequestState* st, bool ok, int status) {
+  if (!ok) {
+    finish_request(st, status);
+    return;
+  }
+  st->app_start = loop_.now();
+  st->target->handle_request(st->req, [st](http::Response& resp) {
+    IstioMesh& self = *st->self;
+    if (st->trace) {
+      st->trace->add("app/" + std::to_string(net::id_value(st->target->id())),
+                     telemetry::Component::kApp, st->app_start,
+                     self.loop_.now(), 0, resp.wire_size(), resp.status);
+    }
+    st->resp_bytes = resp.wire_size();
+    st->resp_status = resp.status;
+    // Response: server sidecar -> wire -> client sidecar.
+    st->server_sc->handle_response(
+        st->tuple, st->resp_bytes,
+        [st] {
+          st->wire = st->self->loop_.now();
+          st->self->loop_.post(st->hop,
+                               [st] { st->self->return_to_client(st); });
+        },
+        st->tracer());
+  });
+}
+
+void IstioMesh::return_to_client(RequestState* st) {
+  if (st->trace) {
+    st->trace->add("link/server-client", telemetry::Component::kLink,
+                   st->wire, loop_.now(), 0, st->resp_bytes);
+  }
+  st->client_sc->handle_response(
+      st->tuple, st->resp_bytes,
+      [st] { st->self->finish_request(st, st->resp_status); }, st->tracer());
 }
 
 std::vector<k8s::ConfigTarget> IstioMesh::routing_update_targets() const {

@@ -88,7 +88,19 @@ class IstioMesh final : public MeshDataplane {
     k8s::Pod* pod = nullptr;
   };
 
+  /// Pooled request slot (DESIGN.md §14), defined in the .cc.
+  struct RequestState;
+
   NodePool& pool_for(const k8s::Node& node);
+
+  // send_request's hop chain, one member per async boundary (request out:
+  // client sidecar -> wire -> server sidecar -> pod; response back).
+  void on_client_outbound(RequestState* st,
+                          const proxy::ProxyEngine::RequestOutcome& outcome);
+  void deliver_to_server(RequestState* st);
+  void on_server_inbound(RequestState* st, bool ok, int status);
+  void return_to_client(RequestState* st);
+  void finish_request(RequestState* st, int status);
 
   sim::EventLoop& loop_;
   k8s::Cluster& cluster_;
@@ -99,6 +111,7 @@ class IstioMesh final : public MeshDataplane {
   sim::FlatOrderedMap<const k8s::Node*, std::unique_ptr<NodePool>> pools_;
   sim::FlatOrderedMap<net::PodId, Sidecar> sidecars_;
   std::uint16_t next_port_ = 10000;
+  RequestSlots<RequestState> requests_;
 };
 
 }  // namespace canal::mesh

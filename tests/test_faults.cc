@@ -318,6 +318,85 @@ TEST(Retry, BudgetCapsRetries) {
   EXPECT_GE(budget.denied(), 1u);
 }
 
+/// A dataplane that never answers on its own: it parks every completion
+/// so a test can deliver responses late, out of order, or not at all.
+class ParkingPlane final : public mesh::MeshDataplane {
+ public:
+  explicit ParkingPlane(sim::EventLoop& loop) : loop_(loop) {}
+
+  std::string_view name() const noexcept override { return "parking"; }
+  void send_request(const mesh::RequestOptions&,
+                    mesh::RequestCallback done) override {
+    parked.push_back(std::move(done));
+  }
+  sim::EventLoop& event_loop() noexcept override { return loop_; }
+  std::vector<k8s::ConfigTarget> routing_update_targets() const override {
+    return {};
+  }
+  std::vector<k8s::ConfigTarget> pod_create_targets(
+      const std::vector<k8s::Pod*>&) const override {
+    return {};
+  }
+  double user_cpu_core_seconds() const override { return 0.0; }
+  double total_cpu_core_seconds() const override { return 0.0; }
+  std::size_t proxy_count() const override { return 0; }
+
+  std::vector<mesh::RequestCallback> parked;
+
+ private:
+  sim::EventLoop& loop_;
+};
+
+TEST(Retry, LateResponseAfterTimeoutAndSlotReuseIsIgnored) {
+  // The retry layer pools its per-request state. Request A times out and
+  // finishes, request B reuses A's slot, and only then does A's response
+  // arrive: it carries A's attempt generation, which is stale, so it must
+  // neither settle B nor cancel B's timeout.
+  sim::EventLoop loop;
+  ParkingPlane plane(loop);
+  mesh::RetryPolicy policy;
+  policy.max_attempts = 1;
+  policy.per_try_timeout = milliseconds(10);
+  sim::Rng rng(7);
+  const mesh::RequestOptions opts;
+
+  std::vector<mesh::RequestResult> a_results;
+  std::vector<mesh::RequestResult> b_results;
+  plane.send_request_with_retries(
+      opts, policy, rng,
+      [&a_results](mesh::RequestResult r) { a_results.push_back(r); });
+  loop.run();
+  ASSERT_EQ(a_results.size(), 1u);
+  EXPECT_EQ(a_results[0].status, 504);
+  EXPECT_TRUE(a_results[0].timed_out);
+
+  plane.send_request_with_retries(
+      opts, policy, rng,
+      [&b_results](mesh::RequestResult r) { b_results.push_back(r); });
+  ASSERT_EQ(plane.parked.size(), 2u);
+
+  mesh::RequestResult late;
+  late.status = 200;
+  plane.parked[0](late);
+  EXPECT_EQ(a_results.size(), 1u);
+  EXPECT_TRUE(b_results.empty()) << "A's late response settled B";
+
+  // B's own per-try timeout still fires at 10 ms after B's send.
+  const sim::TimePoint b_sent = loop.now();
+  loop.run();
+  ASSERT_EQ(b_results.size(), 1u);
+  EXPECT_EQ(b_results[0].status, 504);
+  EXPECT_TRUE(b_results[0].timed_out);
+  EXPECT_EQ(b_results[0].latency, milliseconds(10));
+  EXPECT_EQ(loop.now(), b_sent + milliseconds(10));
+
+  // B's own late response is stale too.
+  mesh::RequestResult b_late;
+  b_late.status = 200;
+  plane.parked[1](b_late);
+  EXPECT_EQ(b_results.size(), 1u);
+}
+
 TEST(RetryPolicy, BackoffIsCappedExponentialAndDeterministic) {
   mesh::RetryPolicy policy;
   policy.base_backoff = milliseconds(1);

@@ -63,7 +63,8 @@ TEST(Cluster, PodLifecycle) {
   pod.set_phase(PodPhase::kRunning);
   EXPECT_TRUE(pod.ready());
   EXPECT_EQ(cluster.running_pods(), 1u);
-  EXPECT_EQ(service.ready_endpoints().size(), 1u);
+  ASSERT_EQ(service.endpoints.size(), 1u);
+  EXPECT_TRUE(service.endpoints.front()->ready());
 
   cluster.remove_pod(pod.id());
   EXPECT_EQ(pod.phase(), PodPhase::kTerminated);
