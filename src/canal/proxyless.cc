@@ -143,6 +143,13 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
     return;
   }
 
+  if (config_.network.dropped(rng_, st->start)) {
+    // Lost on the wire: `done` never fires; only a per-try timeout in the
+    // retry layer recovers.
+    requests_.drop(st);
+    return;
+  }
+
   // Client-side TLS in the app's own library when the customer manages
   // certificates; this burns the user's node CPU (there is no proxy).
   sim::Duration app_crypto = 0;
@@ -171,7 +178,8 @@ void ProxylessMesh::send_request(const mesh::RequestOptions& opts,
                                  net::Protocol::kUdp};
     st->packet.vxlan = vxlan;
     st->client_az = st->opts.client->node().az();
-    self.loop_.post(self.config_.network.intra_az,
+    self.loop_.post(self.config_.network.intra_az +
+                        self.config_.network.fault_latency(self.loop_.now()),
                     [st] { st->self->forward_to_gateway(st); });
   });
 }
@@ -211,7 +219,8 @@ void ProxylessMesh::on_gateway_routed(RequestState* st,
     return;
   }
   // Server side has no proxy either: gateway -> server app.
-  loop_.post(config_.network.intra_az,
+  loop_.post(config_.network.intra_az +
+                 config_.network.fault_latency(loop_.now()),
              [st] { st->self->deliver_to_server(st); });
 }
 
@@ -222,7 +231,12 @@ void ProxylessMesh::deliver_to_server(RequestState* st) {
     st->backend->handle_response(
         *st->replica, st->tuple, st->resp_bytes, [st] {
           ProxylessMesh& self = *st->self;
-          self.loop_.post(2 * self.config_.network.intra_az, [st] {
+          // Two link hops back (server -> gateway -> client); each pays
+          // any latency spike, as canal's two return hops do.
+          const sim::Duration hop =
+              self.config_.network.intra_az +
+              self.config_.network.fault_latency(self.loop_.now());
+          self.loop_.post(2 * hop, [st] {
             st->self->finish_request(st, st->resp_status);
           });
         });

@@ -1,6 +1,9 @@
 #include "k8s/objects.h"
 
+#include <charconv>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 namespace canal::k8s {
 
@@ -59,8 +62,16 @@ void Pod::handle_request(const http::Request& req, ResponseCallback done) {
       resp.status = call->app_error ? 500 : 200;
       resp.reason.assign(http::reason_phrase(resp.status));
       resp.body.assign(body_bytes, 'x');
-      resp.headers.set("Content-Length", std::to_string(body_bytes));
-      resp.headers.set("X-Request-Path", call->path);
+      // A pooled response's headers are either empty (fresh slot, or the
+      // 503 path reset them) or already [Content-Length, X-Request-Path]
+      // from the last 200: value_slot() overwrites those in place, so the
+      // entries keep the order set() would give them, and reuse their
+      // capacity. Each slot is filled before the next value_slot() call,
+      // which may invalidate it.
+      char digits[std::numeric_limits<std::uint32_t>::digits10 + 1];
+      const auto length = std::to_chars(digits, std::end(digits), body_bytes);
+      resp.headers.value_slot("Content-Length").assign(digits, length.ptr);
+      resp.headers.value_slot("X-Request-Path").assign(call->path);
       auto cb = std::move(call->done);
       cb(resp);  // `resp` lives in the slot: release only after
       self.calls_.release(call);

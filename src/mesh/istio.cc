@@ -125,6 +125,12 @@ void IstioMesh::send_request(const RequestOptions& opts,
                              src_port, 80, net::Protocol::kTcp};
   if (next_port_ < 10000) next_port_ = 10000;
 
+  if (cluster_.find_service(opts.dst_service) == nullptr) {
+    // Unknown destination service: 404 before the loss draw, matching
+    // every other dataplane.
+    finish_request(st, 404);
+    return;
+  }
   const auto sc_it = sidecars_.find(opts.client->id());
   if (sc_it == sidecars_.end()) {
     finish_request(st, 500);

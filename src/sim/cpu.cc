@@ -5,7 +5,7 @@
 
 namespace canal::sim {
 
-TimePoint CpuCore::execute(Duration cost, Callback done,
+TimePoint CpuCore::execute(Duration cost, Callback&& done,
                            Duration* queue_wait) {
   if (cost < 0) cost = 0;
   const TimePoint start = std::max(free_at_, loop_.now());
@@ -102,13 +102,13 @@ std::size_t CpuSet::least_loaded() const {
   return best;
 }
 
-TimePoint CpuSet::execute(Duration cost, Callback done,
+TimePoint CpuSet::execute(Duration cost, Callback&& done,
                           Duration* queue_wait) {
   return cores_[least_loaded()]->execute(cost, std::move(done), queue_wait);
 }
 
 TimePoint CpuSet::execute_pinned(std::uint64_t hash, Duration cost,
-                                 Callback done,
+                                 Callback&& done,
                                  Duration* queue_wait) {
   return cores_[hash % cores_.size()]->execute(cost, std::move(done),
                                                queue_wait);

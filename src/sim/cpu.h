@@ -46,7 +46,7 @@ class CpuCore {
   /// the FCFS wait this job spends queued behind earlier work (completion ==
   /// now + *queue_wait + cost) — the split request tracing uses to separate
   /// waiting from working.
-  TimePoint execute(Duration cost, Callback done = nullptr,
+  TimePoint execute(Duration cost, Callback&& done = nullptr,
                     Duration* queue_wait = nullptr);
 
   /// Completion time `execute(cost)` would return, without enqueueing.
@@ -131,12 +131,12 @@ class CpuSet {
 
   /// Runs on the least-loaded core. Returns completion time. `queue_wait`,
   /// when non-null, receives the job's FCFS queueing delay.
-  TimePoint execute(Duration cost, Callback done = nullptr,
+  TimePoint execute(Duration cost, Callback&& done = nullptr,
                     Duration* queue_wait = nullptr);
 
   /// Runs on core `hash % size()` (flow pinning). Returns completion time.
   TimePoint execute_pinned(std::uint64_t hash, Duration cost,
-                           Callback done = nullptr,
+                           Callback&& done = nullptr,
                            Duration* queue_wait = nullptr);
 
   /// Index of the core that would next become free.

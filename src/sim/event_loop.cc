@@ -5,58 +5,114 @@
 
 namespace canal::sim {
 
-std::uint32_t EventLoop::acquire_slot(Callback cb) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot].cb = std::move(cb);
-    return slot;
+void EventLoop::add_chunk() {
+  const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunkEvents);
+  chunks_.push_back(std::make_unique_for_overwrite<Event[]>(kChunkEvents));
+  Event* chunk = chunks_.back().get();
+  // Thread the new slots onto the free list in ascending order.
+  for (std::uint32_t i = 0; i < kChunkEvents; ++i) {
+    chunk[i].next_free = i + 1 < kChunkEvents ? base + i + 1 : free_head_;
   }
-  slab_.push_back(Event{std::move(cb), 0});
-  return static_cast<std::uint32_t>(slab_.size() - 1);
+  free_head_ = base;
+}
+
+std::uint32_t EventLoop::acquire_slot(Callback&& cb) {
+  if (free_head_ == kNoSlot) add_chunk();
+  const std::uint32_t slot = free_head_;
+  Event& ev = event(slot);
+  free_head_ = ev.next_free;
+  ev.cb = std::move(cb);
+  return slot;
+}
+
+void EventLoop::release_slot(std::uint32_t slot) noexcept {
+  Event& ev = event(slot);
+  ev.cb = nullptr;
+  ev.next_free = free_head_;
+  free_head_ = slot;
+}
+
+void EventLoop::heap_push(const HeapKey& key) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(key);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!earlier(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
+}
+
+EventLoop::HeapKey EventLoop::heap_pop() noexcept {
+  const HeapKey top = heap_.front();
+  const HeapKey last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  // Sift a hole from the root down to where `last` belongs.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
+    }
+    if (!earlier(heap_[best], last)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
+  return top;
 }
 
 void EventLoop::enqueue(TimePoint when, std::uint32_t slot) {
-  const HeapKey key{when, next_seq_++, slot, slab_[slot].generation};
+  const HeapKey key{when, next_seq_++, slot, event(slot).generation};
   if (when == now_) {
     // Same-tick event: FIFO bucket, no heap sift. seq still drawn from the
     // global counter so pop order matches a pure heap exactly (see header).
     bucket_.push_back(key);
     return;
   }
-  heap_.push_back(key);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  heap_push(key);
 }
 
-EventHandle EventLoop::schedule_at(TimePoint when, Callback cb) {
+EventHandle EventLoop::schedule_at(TimePoint when, Callback&& cb) {
   if (when < now_) when = now_;
   const std::uint32_t slot = acquire_slot(std::move(cb));
   enqueue(when, slot);
-  return EventHandle(this, slot, slab_[slot].generation);
+  return EventHandle(this, slot, event(slot).generation);
 }
 
-void EventLoop::post_at(TimePoint when, Callback cb) {
+void EventLoop::post_at(TimePoint when, Callback&& cb) {
   if (when < now_) when = now_;
   enqueue(when, acquire_slot(std::move(cb)));
 }
 
-bool EventLoop::run_key(const HeapKey& key) {
-  // Move the payload out and recycle the slot before invoking: the callback
-  // may schedule new events, which can reuse this slot or grow the slab.
-  Event& ev = slab_[key.slot];
-  Callback cb = std::move(ev.cb);
-  free_slots_.push_back(key.slot);
-  if (ev.generation != key.generation) return false;  // cancelled
+bool EventLoop::run_key(HeapKey key) {
+  // `key` is a copy: the callback may grow bucket_ or heap_.
+  Event& ev = event(key.slot);
+  if (ev.generation != key.generation) {  // cancelled
+    release_slot(key.slot);
+    return false;
+  }
   // Firing ends the event: its handle (and any copy) stops matching.
   ++ev.generation;
-  cb();
+  // Invoke in place: chunks never move, and the slot stays off the free
+  // list until the callback has returned or thrown.
+  struct Release {
+    EventLoop* loop;
+    std::uint32_t slot;
+    ~Release() { loop->release_slot(slot); }
+  } release{this, key.slot};
+  ev.cb();
   return true;
 }
 
 bool EventLoop::pop_and_run() {
-  const HeapKey key = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  const HeapKey key = heap_pop();
   now_ = key.when;
   return run_key(key);
 }

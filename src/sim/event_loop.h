@@ -1,12 +1,13 @@
 // Discrete-event simulation core.
 //
-// A binary-heap scheduler over (time, sequence) keys. Ties are broken by
+// A 4-ary min-heap scheduler over (time, sequence) keys. Ties are broken by
 // insertion order so runs are deterministic. Events are arbitrary callables;
 // higher-level components (CPU cores, links, timers) are built on top.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -59,21 +60,22 @@ class EventLoop {
   [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Schedules `cb` to run at absolute time `when` (clamped to now()).
-  /// Callers that never cancel use post_at().
-  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback cb);
+  /// Callers that never cancel use post_at(). Every scheduling call takes
+  /// the callback by rvalue reference and relocates it once, into its slot.
+  [[nodiscard]] EventHandle schedule_at(TimePoint when, Callback&& cb);
 
   /// Schedules `cb` to run `delay` after now().
-  [[nodiscard]] EventHandle schedule(Duration delay, Callback cb) {
+  [[nodiscard]] EventHandle schedule(Duration delay, Callback&& cb) {
     return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 
   /// Fire-and-forget variant of schedule_at: no cancellation handle. Same
   /// sequence numbering as schedule_at, so swapping one for the other never
   /// moves an event.
-  void post_at(TimePoint when, Callback cb);
+  void post_at(TimePoint when, Callback&& cb);
 
   /// Fire-and-forget variant of schedule().
-  void post(Duration delay, Callback cb) {
+  void post(Duration delay, Callback&& cb) {
     post_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 
@@ -103,11 +105,25 @@ class EventLoop {
 
  private:
   // The heap sifts small (when, seq, slot) keys; the callback payloads
-  // (~10x larger, with inline capture storage) sit in a stable slab indexed
-  // by `slot` and are never moved by heap operations. Slots are recycled
-  // through a free list, so steady-state scheduling touches no allocator.
-  // Ordering is identical to a direct heap of events: (when, seq) keys are
-  // unique and insertion-ordered, so simulated behaviour is unchanged.
+  // (~6x larger, with inline capture storage) sit in a slab indexed by
+  // `slot` and are never moved by heap operations. Ordering is identical to
+  // a direct heap of events: (when, seq) keys are unique and
+  // insertion-ordered, so simulated behaviour is unchanged.
+  //
+  // Heap: 4-ary, stored level by level in `heap_`, so a key's children are
+  // contiguous (one or two cache lines of 24-byte keys) and the tree is half
+  // as deep as a binary heap. Push and pop move a hole instead of swapping:
+  // each level costs one key copy, and the moving key is written once.
+  //
+  // Slab: fixed chunks of kChunkEvents events, so a slot's address never
+  // changes once allocated. That lets run_key() invoke a callback where it
+  // sits, even though the callback may schedule enough events to grow the
+  // slab while it runs: growth adds a chunk and moves no event. Free slots
+  // form a list threaded through the events themselves, so steady-state
+  // scheduling touches no allocator. A fired slot returns to the list only
+  // after its callback returns or throws, and its callback is destroyed
+  // first: the callback is relocated exactly once, from the caller's
+  // temporary into the slot.
   //
   // Same-timestamp batching: an event scheduled for `now_` while the loop
   // stands at `now_` skips the heap entirely and is appended to `bucket_`,
@@ -128,6 +144,7 @@ class EventLoop {
   struct Event {
     Callback cb;
     std::uint32_t generation = 0;
+    std::uint32_t next_free = 0;  // free-list link while the slot is free
   };
   struct HeapKey {
     TimePoint when = 0;
@@ -136,27 +153,40 @@ class EventLoop {
     std::uint32_t generation = 0;  // fills the key's padding: still 24 bytes
   };
   static_assert(sizeof(HeapKey) == 24);
-  struct Later {
-    bool operator()(const HeapKey& a, const HeapKey& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr std::uint32_t kChunkEvents = 64;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::size_t kArity = 4;
+
+  [[nodiscard]] static bool earlier(const HeapKey& a,
+                                    const HeapKey& b) noexcept {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
   friend class EventHandle;
 
-  std::uint32_t acquire_slot(Callback cb);
+  [[nodiscard]] Event& event(std::uint32_t slot) noexcept {
+    return chunks_[slot / kChunkEvents][slot % kChunkEvents];
+  }
+  [[nodiscard]] const Event& event(std::uint32_t slot) const noexcept {
+    return chunks_[slot / kChunkEvents][slot % kChunkEvents];
+  }
+
+  std::uint32_t acquire_slot(Callback&& cb);
+  void release_slot(std::uint32_t slot) noexcept;
+  void add_chunk();
   void enqueue(TimePoint when, std::uint32_t slot);
-  bool run_key(const HeapKey& key);
+  void heap_push(const HeapKey& key);
+  HeapKey heap_pop() noexcept;
+  bool run_key(HeapKey key);
   bool pop_and_run();
   bool run_bucket_front();
 
   [[nodiscard]] bool live(std::uint32_t slot,
                           std::uint32_t generation) const noexcept {
-    return slab_[slot].generation == generation;
+    return event(slot).generation == generation;
   }
   void cancel(std::uint32_t slot, std::uint32_t generation) noexcept {
-    if (live(slot, generation)) ++slab_[slot].generation;
+    if (live(slot, generation)) ++event(slot).generation;
   }
 
   TimePoint now_ = 0;
@@ -164,8 +194,8 @@ class EventLoop {
   std::vector<HeapKey> heap_;
   std::vector<HeapKey> bucket_;      // FIFO of events at exactly now_
   std::size_t bucket_cursor_ = 0;    // next bucket entry to run
-  std::vector<Event> slab_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::unique_ptr<Event[]>> chunks_;
+  std::uint32_t free_head_ = kNoSlot;
 };
 
 inline void EventHandle::cancel() noexcept {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "k8s/cluster.h"
@@ -196,6 +197,41 @@ TEST(Pod, TerminatedAnswers503) {
   pod.handle_request(req, [&](http::Response& resp) { status = resp.status; });
   loop.run();
   EXPECT_EQ(status, 503);
+}
+
+TEST(Pod, PooledResponseMatchesFreshBytes) {
+  // One request at a time, so every answer reuses the same pooled response:
+  // its bytes must equal a fresh response built with HeaderMap::set(),
+  // through 200s, app 500s, and a 503 (which resets the headers) between.
+  sim::EventLoop loop;
+  Cluster cluster = make_cluster(loop);
+  Service& service = cluster.add_service("s");
+  AppProfile profile;
+  profile.app_error_rate = 0.3;
+  profile.response_bytes = 12345;
+  Pod& pod = cluster.add_pod(service, profile);
+  std::set<int> statuses;
+  for (int i = 0; i < 24; ++i) {
+    pod.set_phase(i % 8 == 5 ? PodPhase::kTerminated : PodPhase::kRunning);
+    http::Request req;
+    req.path = "/item/" + std::string(static_cast<std::size_t>(i), 'p');
+    pod.handle_request(req, [&](http::Response& resp) {
+      http::Response fresh;
+      fresh.status = resp.status;
+      fresh.reason = std::string(http::reason_phrase(resp.status));
+      fresh.body = resp.body;
+      if (resp.status != 503) {
+        EXPECT_EQ(resp.body.size(), profile.response_bytes);
+        fresh.headers.set("Content-Length",
+                          std::to_string(profile.response_bytes));
+        fresh.headers.set("X-Request-Path", req.path);
+      }
+      EXPECT_EQ(resp.serialize(), fresh.serialize()) << "request " << i;
+      statuses.insert(resp.status);
+    });
+    loop.run();
+  }
+  EXPECT_EQ(statuses, (std::set<int>{200, 500, 503}));
 }
 
 TEST(Pod, AppErrorRateProducesErrors) {

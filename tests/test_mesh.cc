@@ -12,6 +12,7 @@
 #include "mesh/dataplane.h"
 #include "mesh/istio.h"
 #include "proxy/engine.h"
+#include "sim/fault.h"
 
 namespace canal::mesh {
 namespace {
@@ -526,6 +527,58 @@ TEST(ErrorPaths, SessionTableExhaustionIs503) {
   RequestOptions opts = fx.bed.request_to_backend();
   opts.new_connection = true;
   EXPECT_EQ(run_one(fx.bed.loop, *fx.plane, opts).status, 503);
+}
+
+// ---- Proxyless faces the fault plan ---------------------------------------
+
+/// A proxyless plane whose network profile carries `faults`. Every other
+/// input is fixed, so two beds differ only in their fault plans.
+struct ProxylessFaultBed {
+  Testbed bed;
+  core::MeshGateway gateway{bed.loop, core::GatewayConfig{}, sim::Rng(37)};
+  std::unique_ptr<core::ProxylessMesh> plane;
+
+  explicit ProxylessFaultBed(const sim::FaultPlan* faults) {
+    gateway.add_az(2);
+    core::ProxylessMesh::Config config;
+    config.network.faults = faults;
+    plane = std::make_unique<core::ProxylessMesh>(bed.loop, bed.cluster,
+                                                  gateway, config,
+                                                  sim::Rng(43));
+    plane->install();
+  }
+};
+
+TEST(Proxyless, LinkLossWindowLosesAttempt) {
+  sim::FaultPlan faults;
+  faults.link_loss(0, sim::seconds(10), 1.0);
+  ProxylessFaultBed fx(&faults);
+  bool answered = false;
+  fx.plane->send_request(fx.bed.request_to_backend(),
+                         [&](RequestResult) { answered = true; });
+  fx.bed.loop.run();
+  EXPECT_FALSE(answered);
+  // Past the window the same request goes through.
+  fx.bed.loop.run_until(sim::seconds(11));
+  EXPECT_EQ(run_one(fx.bed.loop, *fx.plane, fx.bed.request_to_backend())
+                .status,
+            200);
+}
+
+TEST(Proxyless, LatencySpikeLengthensEveryHop) {
+  const sim::Duration extra = sim::milliseconds(5);
+  sim::FaultPlan spike;
+  spike.link_latency_spike(0, sim::seconds(10), extra);
+  ProxylessFaultBed calm(nullptr);
+  ProxylessFaultBed spiked(&spike);
+  const RequestResult base =
+      run_one(calm.bed.loop, *calm.plane, calm.bed.request_to_backend());
+  const RequestResult slow =
+      run_one(spiked.bed.loop, *spiked.plane, spiked.bed.request_to_backend());
+  EXPECT_EQ(base.status, 200);
+  EXPECT_EQ(slow.status, 200);
+  // Four link hops: client -> gateway -> server, and back.
+  EXPECT_EQ(slow.latency - base.latency, 4 * extra);
 }
 
 }  // namespace

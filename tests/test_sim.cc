@@ -2,9 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <deque>
+#include <functional>
+#include <limits>
+#include <map>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -600,6 +608,301 @@ TEST(EventLoop, SlotReuseKeepsOrdering) {
   loop.run();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);  // ties by insertion
+}
+
+// ---- Differential test against a reference scheduler ----------------------
+
+/// The reference model: every pending event in a map keyed by (when, seq),
+/// the definition of the order EventLoop must reproduce. A cancelled event
+/// keeps its entry until it pops, as in EventLoop.
+class ModelLoop {
+ public:
+  using Handle = std::uint64_t;  // the event's seq; kNone for post()
+  static constexpr Handle kNone = ~Handle{0};
+
+  [[nodiscard]] TimePoint now() const { return now_; }
+  Handle schedule_at(TimePoint when, std::function<void()> fn) {
+    const Handle seq = next_seq_++;
+    pending_.emplace(std::pair{std::max(when, now_), seq},
+                     Entry{std::move(fn), false});
+    return seq;
+  }
+  void post_at(TimePoint when, std::function<void()> fn) {
+    (void)schedule_at(when, std::move(fn));
+  }
+  void cancel(Handle h) {
+    for (auto& [key, entry] : pending_) {
+      if (key.second == h) entry.cancelled = true;
+    }
+  }
+  [[nodiscard]] bool pending(Handle h) const {
+    for (const auto& [key, entry] : pending_) {
+      if (key.second == h) return !entry.cancelled;
+    }
+    return false;
+  }
+  [[nodiscard]] std::size_t pending_events() const { return pending_.size(); }
+  [[nodiscard]] std::optional<TimePoint> next_event_time() const {
+    if (pending_.empty()) return std::nullopt;
+    return pending_.begin()->first.first;
+  }
+  std::size_t run_until(TimePoint deadline) {
+    const std::size_t count = drain(deadline);
+    now_ = std::max(now_, deadline);
+    return count;
+  }
+  std::size_t run() { return drain(std::numeric_limits<TimePoint>::max()); }
+
+ private:
+  struct Entry {
+    std::function<void()> fn;
+    bool cancelled;
+  };
+  // Runs the earliest entry while it is due by `deadline`.
+  std::size_t drain(TimePoint deadline) {
+    std::size_t count = 0;
+    while (!pending_.empty() && pending_.begin()->first.first <= deadline) {
+      auto node = pending_.extract(pending_.begin());
+      now_ = node.key().first;
+      if (node.mapped().cancelled) continue;
+      node.mapped().fn();
+      ++count;
+    }
+    return count;
+  }
+  TimePoint now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::map<std::pair<TimePoint, std::uint64_t>, Entry> pending_;
+};
+
+/// EventLoop behind ModelLoop's interface.
+class RealLoop {
+ public:
+  using Handle = EventHandle;
+  static inline const Handle kNone{};
+
+  [[nodiscard]] TimePoint now() const { return loop_.now(); }
+  Handle schedule_at(TimePoint when, std::function<void()> fn) {
+    return loop_.schedule_at(when, [fn = std::move(fn)] { fn(); });
+  }
+  void post_at(TimePoint when, std::function<void()> fn) {
+    loop_.post_at(when, [fn = std::move(fn)] { fn(); });
+  }
+  static void cancel(Handle& h) { h.cancel(); }
+  [[nodiscard]] static bool pending(const Handle& h) { return h.pending(); }
+  [[nodiscard]] std::size_t pending_events() const {
+    return loop_.pending_events();
+  }
+  [[nodiscard]] std::optional<TimePoint> next_event_time() const {
+    return loop_.next_event_time();
+  }
+  std::size_t run_until(TimePoint deadline) {
+    return loop_.run_until(deadline);
+  }
+  std::size_t run() { return loop_.run(); }
+
+ private:
+  EventLoop loop_;
+};
+
+/// Drives `loop` with a random mix seeded by `seed` and returns everything
+/// observable: each firing (id, time), every pending() answer, and after
+/// each top-level step the run count, now(), pending_events() and
+/// next_event_time(). The mix holds post and schedule at past, current and
+/// future times, cancels of random events (fired, pending or already
+/// cancelled), self-cancels, same-tick sibling cancels, nested scheduling
+/// from callbacks and run_until deadlines, past ones included. The draws
+/// depend only on what the loop has done so far, so two loops that agree
+/// are driven identically.
+template <typename Loop>
+std::vector<std::array<std::int64_t, 3>> drive_random_mix(std::uint64_t seed) {
+  enum : std::int64_t { kFire, kPending, kStep };
+  Loop loop;
+  Rng rng(seed);
+  std::vector<std::array<std::int64_t, 3>> log;
+  std::vector<typename Loop::Handle> handles;
+  // Offsets cluster on a few ticks, so same-time ties are common.
+  auto pick_time = [&] {
+    const std::int64_t kind = rng.uniform_int(0, 5);
+    if (kind == 0) return loop.now() - rng.uniform_int(1, 5);  // past
+    if (kind <= 2) return loop.now();
+    return loop.now() + rng.uniform_int(1, 4) * (kind == 5 ? 50 : 1);
+  };
+  std::function<void(int)> act;
+  // Adds event `id` firing at `when`; on firing it may cancel itself or
+  // `sibling`, then act again one level deeper.
+  auto add = [&](TimePoint when, bool keep_handle, int depth,
+                 std::int64_t sibling) {
+    const auto id = static_cast<std::int64_t>(handles.size());
+    handles.push_back(Loop::kNone);
+    auto body = [&, id, depth, sibling] {
+      log.push_back({kFire, id, loop.now()});
+      if (rng.chance(0.15)) {
+        loop.cancel(handles[static_cast<std::size_t>(id)]);
+        log.push_back(
+            {kPending, id,
+             loop.pending(handles[static_cast<std::size_t>(id)]) ? 1 : 0});
+      }
+      if (sibling >= 0) loop.cancel(handles[static_cast<std::size_t>(sibling)]);
+      if (depth < 4) {
+        for (std::int64_t n = rng.uniform_int(0, 2); n > 0; --n) act(depth + 1);
+      }
+    };
+    if (keep_handle) {
+      handles[static_cast<std::size_t>(id)] = loop.schedule_at(when, body);
+    } else {
+      loop.post_at(when, body);
+    }
+  };
+  act = [&](int depth) {
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+        add(pick_time(), false, depth, -1);
+        break;
+      case 1:
+      case 2:
+        add(pick_time(), true, depth, -1);
+        break;
+      case 3: {  // same-tick siblings: the first cancels the second
+        const TimePoint when = pick_time();
+        const auto second = static_cast<std::int64_t>(handles.size()) + 1;
+        add(when, true, depth, second);
+        add(when, true, depth, -1);
+        break;
+      }
+      case 4:
+        if (!handles.empty()) {
+          const auto id = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(handles.size()) - 1));
+          loop.cancel(handles[id]);
+        }
+        break;
+      default:
+        if (!handles.empty()) {
+          const auto id = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(handles.size()) - 1));
+          log.push_back({kPending, static_cast<std::int64_t>(id),
+                         loop.pending(handles[id]) ? 1 : 0});
+        }
+        break;
+    }
+  };
+  for (int step = 0; step < 400; ++step) {
+    for (std::int64_t n = rng.uniform_int(1, 6); n > 0; --n) act(0);
+    std::size_t ran = 0;
+    const std::int64_t how = rng.uniform_int(0, 9);
+    if (how == 0) {
+      ran = loop.run();
+    } else if (how == 1) {
+      ran = loop.run_until(loop.now() - rng.uniform_int(0, 3));
+    } else {
+      ran = loop.run_until(loop.now() + rng.uniform_int(0, 120));
+    }
+    const std::optional<TimePoint> next = loop.next_event_time();
+    log.push_back({kStep, static_cast<std::int64_t>(ran), loop.now()});
+    log.push_back({kStep, static_cast<std::int64_t>(loop.pending_events()),
+                   next.value_or(-1)});
+  }
+  log.push_back({kStep, static_cast<std::int64_t>(loop.run()), loop.now()});
+  return log;
+}
+
+TEST(EventLoop, MatchesReferenceModelOnRandomMix) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto expected = drive_random_mix<ModelLoop>(seed);
+    const auto actual = drive_random_mix<RealLoop>(seed);
+    const auto [e, a] = std::mismatch(expected.begin(), expected.end(),
+                                      actual.begin(), actual.end());
+    ASSERT_TRUE(e == expected.end() && a == actual.end())
+        << "first divergence at record " << (e - expected.begin()) << " of "
+        << expected.size();
+    EXPECT_GT(std::count_if(expected.begin(), expected.end(),
+                            [](const auto& r) { return r[0] == 0; }),
+              1000);
+  }
+}
+
+TEST(EventLoop, CallbackGrowingTheSlabRunsInPlace) {
+  // The first event schedules more than two slab chunks' worth of events
+  // while it runs, so the slab grows under the running callback; the
+  // callback then reads its own captures. Chunks never move, so they are
+  // intact (a slab that relocated its events would leave the callback
+  // reading freed memory, which AddressSanitizer reports).
+  EventLoop loop;
+  constexpr int kChildren = 200;
+  std::vector<int> fired;
+  std::string tag;
+  loop.post(microseconds(1), [&loop, &fired, &tag,
+                              name = std::string(64, 'n'), first = 7] {
+    for (int i = 0; i < kChildren; ++i) {
+      loop.post(i % 3, [&fired, i] { fired.push_back(i); });
+    }
+    tag = name;
+    fired.push_back(-first);
+  });
+  EXPECT_EQ(loop.run(), static_cast<std::size_t>(kChildren) + 1);
+  EXPECT_EQ(tag, std::string(64, 'n'));
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kChildren) + 1);
+  EXPECT_EQ(fired.front(), -7);
+  // Children fire by delay (0, 1, 2), then by insertion.
+  std::vector<int> expected;
+  for (int delay = 0; delay < 3; ++delay) {
+    for (int i = delay; i < kChildren; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(std::vector<int>(fired.begin() + 1, fired.end()), expected);
+}
+
+TEST(EventLoop, CallbackRelocatedOnceIntoItsSlot) {
+  // A continuation is moved once into its Callback, then relocated once
+  // into its slab slot, on every scheduling path; it runs in place.
+  struct Counted {
+    int* moves;
+    int* runs;
+    explicit Counted(int* m, int* r) : moves(m), runs(r) {}
+    Counted(Counted&& other) noexcept : moves(other.moves), runs(other.runs) {
+      ++*moves;
+    }
+    Counted(const Counted&) = delete;
+    void operator()() const { ++*runs; }
+  };
+  EventLoop loop;
+  CpuSet cpus(loop, 2, CpuCore::kNoHistory);
+  int moves = 0;
+  int runs = 0;
+  loop.post(1, Counted(&moves, &runs));
+  EXPECT_EQ(moves, 2);
+  loop.post_at(2, Counted(&moves, &runs));
+  EXPECT_EQ(moves, 4);
+  EventHandle handle = loop.schedule(3, Counted(&moves, &runs));
+  EXPECT_EQ(moves, 6);
+  (void)cpus.execute(10, Counted(&moves, &runs));
+  EXPECT_EQ(moves, 8);
+  (void)cpus.execute_pinned(7, 10, Counted(&moves, &runs));
+  EXPECT_EQ(moves, 10);
+  (void)cpus.core(0).execute(10, Counted(&moves, &runs));
+  EXPECT_EQ(moves, 12);
+  EXPECT_EQ(loop.run(), 6u);
+  EXPECT_EQ(runs, 6);
+  EXPECT_EQ(moves, 12);
+  EXPECT_FALSE(handle.pending());
+}
+
+TEST(EventLoop, ThrowingCallbackStillFreesItsSlot) {
+  EventLoop loop;
+  auto token = std::make_shared<int>(0);
+  EventHandle handle = loop.schedule(microseconds(1), [token] {
+    throw std::runtime_error("callback failed");
+  });
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_FALSE(handle.pending());
+  EXPECT_EQ(token.use_count(), 1);  // the callback was destroyed
+  // The loop keeps working, and the freed slot is reused.
+  int runs = 0;
+  for (int i = 0; i < 3; ++i) loop.post(0, [&runs] { ++runs; });
+  EXPECT_EQ(loop.run(), 3u);
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 TEST(CpuCore, IntervalCountIsHardCapped) {

@@ -340,9 +340,9 @@ TEST(ZeroAlloc, NoMeshWarmPathStaysOffTheHeap) {
 }
 
 /// Drives every exit path of `kind`'s send_request through the retry layer
-/// inside a 30% link-loss window (proxyless draws no loss), round after
-/// round: a plain request (200, or 504 when every attempt is lost or
-/// late), a request with no client (400), one to an unknown service (404),
+/// inside a 30% link-loss window, round after round: a plain request (200,
+/// or 504 when every attempt is lost or late), a request with no client
+/// (400), one to an unknown service (404, answered before the loss draw),
 /// one from a client pod on a node that joined after the plane was
 /// installed (no sidecar, ztunnel, on-node proxy or ENI: 500, or
 /// proxyless's 403; no-mesh serves it) and one to the dark service (503).
@@ -376,9 +376,8 @@ std::uint64_t exit_path_allocs(Plane kind) {
   mesh::RequestOptions unknown = ok;
   unknown.dst_service = static_cast<net::ServiceId>(
       net::id_value(bed.backend_svc->id) + 1000);
-  // istio has no 404 check of its own: its sidecar answers after the loss
-  // draw, so a lost attempt can end in 504.
-  add_path(unknown, {404, 504});
+  // Every plane answers 404 before it draws loss.
+  add_path(unknown, {404});
   mesh::RequestOptions from_orphan = ok;
   from_orphan.client = &orphan;
   add_path(from_orphan, {orphan_status, 504});
