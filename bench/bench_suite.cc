@@ -89,6 +89,9 @@ Scenarios (see EXPERIMENTS.md for the figure mapping):
                    scaling (Reuse), sampled gateway
   ops_daily        Fig 20  a day of live operations: RPS + error codes
   ops_inphase      §6.3  in-phase services scattered by the pattern monitor
+  ops_idle_expiry  §6.2  idle sessions expiring on a sampled gateway
+  ops_scaling      Fig 17/18, Table 4  Reuse vs New completion times and a
+                   month of scaling decisions
   ops_health_checks  Tables 6/7  health-check probes and their aggregation
 )";
 
@@ -162,6 +165,7 @@ const char* headline_metric(const std::string& scenario) {
   if (scenario == "ops_daily") return "scaling_events";
   if (scenario == "ops_inphase") return "peak_after";
   if (scenario == "ops_idle_expiry") return "gw_sessions_expired";
+  if (scenario == "ops_scaling") return "fig17.reuse_p50_s";
   return "ok_fault";
 }
 

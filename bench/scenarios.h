@@ -1544,9 +1544,10 @@ inline runner::RunResult ops_surge_scaling(const runner::RunSpec& spec) {
   return result;
 }
 
-/// The hand-built world of ops_daily, ops_inphase and ops_idle_expiry: one
-/// gateway AZ of `backends`, one 8-core node, single-pod services
-/// "svc-<i>", canal installed. Each component takes its own RNG seed.
+/// The hand-built world of ops_daily, ops_inphase, ops_idle_expiry and
+/// ops_scaling: one gateway AZ of `backends`, one 8-core node, single-pod
+/// services "svc-<i>", canal installed. Each component takes its own RNG
+/// seed.
 struct OpsWorld {
   OpsWorld(std::size_t backends, int service_count,
            std::uint64_t gateway_seed, std::uint64_t cluster_seed,
@@ -1825,6 +1826,120 @@ inline runner::RunResult ops_idle_expiry(const runner::RunSpec& spec) {
   return result;
 }
 
+// ops_scaling — Fig 17 / Table 4 and Fig 18: precise scaling's two
+// strategies. Fig 17 is an ensemble of 30 single-service ramps past the
+// alert threshold on a gateway sampled every second: two trials in three
+// have cold backends to Reuse, every third has none and provisions New.
+// Each decision's alert-to-finish time feeds the Reuse or New CDF
+// (`fig17.reuse_p<P>_s` / `fig17.new_p<P>_s`, with event counts); the two
+// p50s are Table 4's example timelines. Fig 18 is a month of diurnal load
+// on an 8-backend AZ sampled every 30 s, with each of six services' daily
+// peak drifting: `fig18.day<N>.reuse` / `.new` count each day's
+// decisions, `fig18.reuse_total` / `new_total` the month's, and the
+// month's decisions follow as `scale<i>.*`. `events` counts every event
+// both worlds run, so a polling timer would show up in the golden.
+
+inline runner::RunResult ops_scaling(const runner::RunSpec& spec) {
+  runner::RunResult result;
+  std::uint64_t events = 0;
+
+  sim::Histogram reuse_seconds;
+  sim::Histogram new_seconds;
+  sim::Rng rng(500 + spec.seed);
+  for (int trial = 0; trial < 30; ++trial) {
+    const bool force_new = trial % 3 == 2;
+    const std::uint64_t gateway_seed = rng.next();
+    const std::uint64_t cluster_seed = rng.next();
+    const std::uint64_t canal_seed = rng.next();
+    OpsWorld world(force_new ? 2 : 6, 1, gateway_seed, cluster_seed,
+                   canal_seed);
+    const net::ServiceId service = world.services.front()->id;
+    for (auto* backend : world.gateway.all_backends()) {
+      backend->start_sampling(sim::seconds(1));
+    }
+    core::ScalerConfig scaler_config;
+    scaler_config.reuse_delay_mean = sim::seconds(45);
+    // No backend is cold enough to Reuse: the New path.
+    scaler_config.reuse_max_utilization = force_new ? 0.0 : 0.2;
+    core::PreciseScaler scaler(world.loop, world.gateway, scaler_config,
+                               sim::Rng(rng.next()));
+    scaler.start();
+    sim::PeriodicTimer load(world.loop, sim::seconds(1), [&] {
+      const double t = sim::to_seconds(world.loop.now());
+      inject_spread(world.gateway, service,
+                    std::min(52000.0, 4000.0 + 350.0 * t), sim::seconds(1));
+    });
+    load.start();
+    events += world.loop.run_until(sim::minutes(35));
+    load.stop();
+    scaler.stop();
+    for (auto* backend : world.gateway.all_backends()) {
+      backend->stop_sampling();
+    }
+    for (const core::ScalingEvent& event : scaler.events()) {
+      (event.kind == core::ScaleKind::kReuse ? reuse_seconds : new_seconds)
+          .record(sim::to_seconds(event.finish_time - event.alert_time));
+    }
+  }
+  result.set("fig17.reuse_events", static_cast<double>(reuse_seconds.count()));
+  result.set("fig17.new_events", static_cast<double>(new_seconds.count()));
+  for (const int p : {10, 25, 50, 75, 90, 99}) {
+    const std::string suffix = "_p" + std::to_string(p) + "_s";
+    result.set("fig17.reuse" + suffix, reuse_seconds.percentile(p));
+    result.set("fig17.new" + suffix, new_seconds.percentile(p));
+  }
+
+  const std::uint64_t seed = 600 + spec.seed;
+  OpsWorld world(8, 6, seed, seed + 6, seed + 12);
+  for (auto* backend : world.gateway.all_backends()) {
+    backend->start_sampling(sim::seconds(30));
+  }
+  core::ScalerConfig scaler_config;
+  scaler_config.check_period = sim::seconds(30);
+  core::PreciseScaler scaler(world.loop, world.gateway, scaler_config,
+                             sim::Rng(seed + 16));
+  scaler.start();
+  sim::Rng day_rng(seed + 18);
+  std::vector<double> day_peaks(world.services.size(), 1.0);
+  sim::PeriodicTimer load(world.loop, sim::seconds(30), [&] {
+    const double t = sim::to_seconds(world.loop.now());
+    const double day_phase =
+        std::sin((std::fmod(t, 86400.0) / 86400.0 - 0.25) * 2 * 3.14159265);
+    for (std::size_t i = 0; i < world.services.size(); ++i) {
+      inject_spread(world.gateway, world.services[i]->id,
+                    std::max(200.0, 10000.0 * day_peaks[i] *
+                                        (1.0 + 0.9 * day_phase)),
+                    sim::seconds(30));
+    }
+  });
+  load.start();
+  std::size_t reuse_before = 0;
+  std::size_t new_before = 0;
+  for (std::size_t day = 1; day <= 30; ++day) {
+    // Daily demand drifts per service (weekly growth spurts trigger New).
+    for (double& peak : day_peaks) {
+      peak *= std::max(0.85, day_rng.normal(1.04, 0.10));
+    }
+    events += world.loop.run_until(static_cast<sim::Duration>(day) *
+                                   sim::hours(24));
+    const std::string prefix = row_prefix("fig18.day", day);
+    result.set(prefix + "reuse",
+               static_cast<double>(scaler.reuse_count() - reuse_before));
+    result.set(prefix + "new",
+               static_cast<double>(scaler.new_count() - new_before));
+    reuse_before = scaler.reuse_count();
+    new_before = scaler.new_count();
+  }
+  load.stop();
+  scaler.stop();
+  for (auto* backend : world.gateway.all_backends()) backend->stop_sampling();
+  result.set("fig18.reuse_total", static_cast<double>(reuse_before));
+  result.set("fig18.new_total", static_cast<double>(new_before));
+  scaling_event_metrics(result, scaler.events());
+  result.set("events", static_cast<double>(events));
+  return result;
+}
+
 // ops_health_checks — Tables 6/7: health-check probes against app traffic
 // at the consolidated gateway before aggregation (up to 515x), and the
 // step-by-step reduction through service-, core- and replica-level
@@ -1913,6 +2028,7 @@ inline void register_bench_scenarios(runner::Runner& runner) {
   runner.register_scenario("ops_daily", scenarios::ops_daily);
   runner.register_scenario("ops_inphase", scenarios::ops_inphase);
   runner.register_scenario("ops_idle_expiry", scenarios::ops_idle_expiry);
+  runner.register_scenario("ops_scaling", scenarios::ops_scaling);
   runner.register_scenario("ops_health_checks", scenarios::ops_health_checks);
 }
 
@@ -1976,6 +2092,10 @@ inline std::vector<runner::RunSpec> suite_specs(std::uint64_t seeds) {
   add("ops_daily", "canal");
   add("ops_inphase", "canal");
   add("ops_idle_expiry", "canal");
+  // Seed 1 only, like region_scale: at seed 3 the month's scaler keeps
+  // provisioning while its earlier New backends are still booting (1144
+  // decisions against seed 1's 116), and that run alone takes ~35 s.
+  specs.push_back(runner::RunSpec{"ops_scaling", "canal", 1, {}});
   // Pure arithmetic over fixed topologies: no RNG, so one run.
   specs.push_back(runner::RunSpec{"ops_health_checks", "canal", 1, {}});
   return specs;

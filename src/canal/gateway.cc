@@ -48,7 +48,7 @@ GatewayBackend::GatewayBackend(sim::EventLoop& loop, net::BackendId id,
   }
 }
 
-GatewayBackend::~GatewayBackend() = default;
+GatewayBackend::~GatewayBackend() { expiry_.cancel(); }
 
 bool GatewayBackend::alive() const {
   return std::any_of(replicas_.begin(), replicas_.end(),
@@ -81,6 +81,9 @@ GatewayReplica& GatewayBackend::add_replica() {
   replicas_.push_back(
       std::make_unique<GatewayReplica>(loop_, rid, ip, config_, rng_.fork()));
   GatewayReplica& replica = *replicas_.back();
+  replica.engine().sessions().set_on_first_session([this] {
+    if (!expiry_.pending()) arm_expiry();
+  });
   router_.add_member(net::Endpoint{ip, 443});
   if (config_.handshake_factory) {
     replica.engine().set_handshake_executor(config_.handshake_factory(az_));
@@ -415,15 +418,44 @@ void GatewayBackend::handle_response(GatewayReplica& replica,
   replica.engine().handle_response(tuple, bytes, std::move(done), trace);
 }
 
-double GatewayBackend::cpu_utilization(sim::Duration window) const {
+template <typename F>
+double GatewayBackend::mean_over_alive(F per_replica) const {
   double sum = 0.0;
   std::size_t n = 0;
   for (const auto& r : replicas_) {
     if (!r->alive()) continue;
-    sum += r->cpu().utilization(window);
+    sum += per_replica(*r);
     ++n;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+double GatewayBackend::cpu_utilization(sim::Duration window) const {
+  return mean_over_alive([window](const GatewayReplica& r) {
+    return r.cpu().utilization(window);
+  });
+}
+
+double GatewayBackend::load_at(sim::TimePoint t) const {
+  // Newest run first: before a run's first point, the previous run's last
+  // point carries forward.
+  for (auto grid = grids_.rbegin(); grid != grids_.rend(); ++grid) {
+    const sim::TimePoint until = std::min(t, grid->stop);
+    if (until < grid->start + grid->period) continue;
+    const sim::TimePoint point =
+        grid->start + (until - grid->start) / grid->period * grid->period;
+    return mean_over_alive([point](const GatewayReplica& r) {
+      return r.cpu().utilization_between(point - sim::seconds(5), point);
+    });
+  }
+  return 0.0;
+}
+
+double GatewayBackend::coarse_load(sim::TimePoint lo,
+                                   sim::TimePoint hi) const {
+  return mean_over_alive([lo, hi](const GatewayReplica& r) {
+    return r.cpu().coarse_utilization(lo, hi);
+  });
 }
 
 double GatewayBackend::session_occupancy() const {
@@ -455,14 +487,44 @@ telemetry::BackendSnapshot GatewayBackend::snapshot(sim::Duration window) {
 }
 
 void GatewayBackend::start_sampling(sim::Duration period) {
-  sampler_ = std::make_unique<sim::PeriodicTimer>(loop_, period, [this] {
-    util_history_.record(loop_.now(), cpu_utilization(sim::seconds(5)));
-    for (auto& replica : replicas_) {
-      sessions_expired_ += replica->engine().sessions().expire_idle(
-          loop_.now(), config_.session_idle_timeout);
-    }
-  });
-  sampler_->start(period);
+  const sim::TimePoint now = loop_.now();
+  if (!grids_.empty()) {
+    grids_.back().stop = std::min(grids_.back().stop, now);
+  }
+  // Drop runs whose last point no window in the CPU history can reach.
+  while (grids_.size() > 1 && grids_[1].start + grids_[1].period <
+                                  now - sim::CpuCore::kDefaultHistory) {
+    grids_.erase(grids_.begin());
+  }
+  grids_.push_back(SamplingGrid{now, period});
+  arm_expiry();
+}
+
+void GatewayBackend::arm_expiry() {
+  expiry_.cancel();
+  if (!sampling()) return;
+  sim::TimePoint floor = std::numeric_limits<sim::TimePoint>::max();
+  for (const auto& replica : replicas_) {
+    floor = std::min(floor, replica->engine().sessions().idle_floor());
+  }
+  if (floor == std::numeric_limits<sim::TimePoint>::max()) {
+    return;  // every table is empty
+  }
+  // A sweep at point p scans only if p - floor > timeout.
+  const SamplingGrid& grid = grids_.back();
+  const sim::TimePoint due = floor + config_.session_idle_timeout;
+  const std::int64_t steps =
+      due < grid.start ? 1 : (due - grid.start) / grid.period + 1;
+  expiry_ = loop_.schedule_at(grid.start + steps * grid.period,
+                              [this] { expire_idle(); });
+}
+
+void GatewayBackend::expire_idle() {
+  for (auto& replica : replicas_) {
+    sessions_expired_ += replica->engine().sessions().expire_idle(
+        loop_.now(), config_.session_idle_timeout);
+  }
+  arm_expiry();
 }
 
 sim::Duration GatewayBackend::injected_request_cost() const {
@@ -502,7 +564,8 @@ void GatewayBackend::inject_load(net::ServiceId service, double rps,
 }
 
 void GatewayBackend::stop_sampling() {
-  if (sampler_) sampler_->stop();
+  if (sampling()) grids_.back().stop = loop_.now();
+  expiry_.cancel();
 }
 
 std::size_t GatewayBackend::reset_service_sessions(net::ServiceId service) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -211,9 +212,12 @@ class GatewayBackend {
     return stats_;
   }
   [[nodiscard]] telemetry::BackendSnapshot snapshot(sim::Duration window);
-  [[nodiscard]] const sim::TimeSeries& util_history() const noexcept {
-    return util_history_;
-  }
+  /// Water level at `t`: cpu_utilization(5 s) as of the last sampling grid
+  /// point at or before `t` (0 before the first), over the replicas alive
+  /// now. Exact while that window is inside the CPU history.
+  [[nodiscard]] double load_at(sim::TimePoint t) const;
+  /// Mean sim::CpuSet::coarse_utilization over alive replicas.
+  [[nodiscard]] double coarse_load(sim::TimePoint lo, sim::TimePoint hi) const;
   /// Label-keyed metrics for this backend. Per-service RPS histories are
   /// linked here (series `service_rps{service="<id>"}`) so consumers like
   /// the root-cause analyzer can discover them without touching stats_.
@@ -223,9 +227,10 @@ class GatewayBackend {
   [[nodiscard]] const telemetry::MetricsRegistry& metrics() const noexcept {
     return registry_;
   }
-  /// Starts periodic water-level sampling. Each tick also expires sessions
-  /// idle past GatewayConfig::session_idle_timeout; a replica's sweep
-  /// scans its table only when some session may have idled that long.
+  /// Starts sampling on a grid of `period` from now: load_at() reads the
+  /// water level at its points, and sessions idle past
+  /// GatewayConfig::session_idle_timeout expire at them. Nothing polls:
+  /// one event waits for the first point where a session can expire.
   void start_sampling(sim::Duration period);
   void stop_sampling();
 
@@ -260,7 +265,7 @@ class GatewayBackend {
   [[nodiscard]] std::size_t flow_cache_slots() const noexcept {
     return flow_cache_.slot_count();
   }
-  /// Sessions the sampling tick has dropped for idling past
+  /// Sessions dropped at sampling grid points for idling past
   /// GatewayConfig::session_idle_timeout, summed over replicas.
   [[nodiscard]] std::uint64_t sessions_expired() const noexcept {
     return sessions_expired_;
@@ -304,6 +309,26 @@ class GatewayBackend {
   static constexpr std::size_t kFlowCacheSlots = 1 << 12;
 
   [[nodiscard]] std::vector<net::ReplicaId> alive_replica_ids() const;
+  /// Mean over alive replicas of `per_replica(replica)`; 0 with none alive.
+  template <typename F>
+  [[nodiscard]] double mean_over_alive(F per_replica) const;
+
+  static constexpr sim::TimePoint kRunning =
+      std::numeric_limits<sim::TimePoint>::max();
+  /// One start_sampling() run: points start + k * period, k >= 1, up to
+  /// and including stop (kRunning until stop_sampling()).
+  struct SamplingGrid {
+    sim::TimePoint start = 0;
+    sim::Duration period = 0;
+    sim::TimePoint stop = kRunning;
+  };
+  [[nodiscard]] bool sampling() const noexcept {
+    return !grids_.empty() && grids_.back().stop == kRunning;
+  }
+  /// Schedules the idle-expiry sweep at the first grid point where some
+  /// session can have idled past the timeout; none with every table empty.
+  void arm_expiry();
+  void expire_idle();
 
   /// Pooled per-request state for the chain-forward -> redirector ->
   /// engine continuation (DESIGN.md §14): hot-path closures capture only
@@ -346,8 +371,8 @@ class GatewayBackend {
   sim::FlatHashMap<net::ServiceId, double, net::IdHash> throttles_;
   sim::FlatHashMap<net::ServiceId, sim::RateMeter, net::IdHash>
       throttle_meters_;
-  sim::TimeSeries util_history_{sim::hours(25)};
-  std::unique_ptr<sim::PeriodicTimer> sampler_;
+  std::vector<SamplingGrid> grids_;  // oldest first
+  sim::EventHandle expiry_;
   std::uint64_t throttled_requests_ = 0;
   std::uint32_t next_replica_ = 1;
   sim::FlowMemo<net::FiveTuple, FlowEntry, kFlowCacheSlots> flow_cache_;

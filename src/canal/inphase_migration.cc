@@ -83,10 +83,12 @@ GatewayBackend* InPhaseMigrationPlanner::select_target(
   const auto window = sim::hwhm_window(history);
   if (window.end <= window.start) return nullptr;
 
+  // Both sets read the candidates' busy-time checkpoints, which keep a
+  // day of load at sim::CpuCore::kCheckpointWidth resolution.
   struct Candidate {
     GatewayBackend* backend;
-    double g = 0.0;   // sum of samples at the service's HWHM points
-    double g2 = 0.0;  // sum over the full 24h pattern window
+    double g = 0.0;   // mean load of the buckets holding the HWHM points
+    double g2 = 0.0;  // mean load over the full 24h pattern window
   };
   std::vector<Candidate> candidates;
   for (GatewayBackend* other : gateway.backends_in(source.az())) {
@@ -102,8 +104,9 @@ GatewayBackend* InPhaseMigrationPlanner::select_target(
     for (std::size_t i = 0; i < config_.hwhm_sample_points; ++i) {
       const sim::TimePoint t =
           window.start + static_cast<sim::Duration>(i) * step;
-      c.g += other->util_history().value_at(t).value_or(0.0);
+      c.g += other->coarse_load(t, t + sim::CpuCore::kCheckpointWidth);
     }
+    c.g /= static_cast<double>(config_.hwhm_sample_points);
     candidates.push_back(c);
   }
   if (candidates.empty()) return nullptr;
@@ -120,7 +123,7 @@ GatewayBackend* InPhaseMigrationPlanner::select_target(
   }
   // Set G': compare full 24h load of the shortlist; take the lowest.
   for (auto& c : candidates) {
-    c.g2 = c.backend->util_history().sum_in(now - config_.pattern_window, now);
+    c.g2 = c.backend->coarse_load(now - config_.pattern_window, now);
   }
   const auto best = std::min_element(
       candidates.begin(), candidates.end(),

@@ -62,37 +62,38 @@ void PreciseScaler::sweep() {
       hot.push_back(backend);
     }
   }
-  for (GatewayBackend* backend : hot) {
-    handle_alert(*backend, hot);
+  // Root-cause analysis of each hot backend, once per sweep: a scaling
+  // decision changes placements only after its delay, so nothing a
+  // handle_alert() call does reaches the analysis of the next one.
+  std::vector<std::vector<net::ServiceId>> suspects;
+  suspects.reserve(hot.size());
+  for (GatewayBackend* backend : hot) suspects.push_back(analyze(*backend));
+  // Speculative intersection across simultaneously hot backends (run once,
+  // §4.3); each backend reverts to its own suspects if it yields nothing.
+  const std::vector<net::ServiceId> shared =
+      hot.size() > 1 ? telemetry::RootCauseAnalyzer::intersect(suspects)
+                     : std::vector<net::ServiceId>{};
+  for (std::size_t i = 0; i < hot.size(); ++i) {
+    handle_alert(*hot[i], shared.empty() ? suspects[i] : shared,
+                 !shared.empty());
   }
 }
 
 std::vector<net::ServiceId> PreciseScaler::analyze(GatewayBackend& backend) {
   const sim::TimePoint hi = loop_.now();
   const sim::TimePoint lo = hi - config_.analysis_window;
+  std::vector<double> load;
+  for (const sim::TimePoint t : rca_.sample_times(lo, hi)) {
+    load.push_back(backend.load_at(t));
+  }
   // The backend publishes one service_rps{service="<id>"} series per
   // hosted service into its registry; RCA discovers them from there.
-  return rca_.pinpoint(backend.util_history(), backend.metrics(), lo, hi);
+  return rca_.pinpoint(load, backend.metrics(), lo, hi);
 }
 
-void PreciseScaler::handle_alert(
-    GatewayBackend& backend, const std::vector<GatewayBackend*>& hot_backends) {
-  std::vector<net::ServiceId> suspects;
-  bool used_intersection = false;
-
-  // Speculative intersection across simultaneously hot backends (run once,
-  // §4.3); revert to the basic per-backend algorithm if it yields nothing.
-  if (hot_backends.size() > 1) {
-    std::vector<std::vector<net::ServiceId>> per_backend;
-    for (GatewayBackend* hot : hot_backends) {
-      per_backend.push_back(analyze(*hot));
-    }
-    suspects = telemetry::RootCauseAnalyzer::intersect(per_backend);
-    used_intersection = !suspects.empty();
-  }
-  if (suspects.empty()) {
-    suspects = analyze(backend);
-  }
+void PreciseScaler::handle_alert(GatewayBackend& backend,
+                                 std::vector<net::ServiceId> suspects,
+                                 bool used_intersection) {
   if (suspects.empty()) {
     // Sustained plateau: trends have flattened, so correlation is
     // uninformative — fall back to the top service by RPS (§4.3's basic

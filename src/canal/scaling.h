@@ -85,8 +85,11 @@ class PreciseScaler {
 
  private:
   void sweep();
+  /// Scales `suspects` out of hot `backend`: RCA's pick, or the top
+  /// service by RPS when RCA has none.
   void handle_alert(GatewayBackend& backend,
-                    const std::vector<GatewayBackend*>& hot_backends);
+                    std::vector<net::ServiceId> suspects,
+                    bool used_intersection);
   void scale_service(net::ServiceId service, GatewayBackend& hot,
                      bool used_intersection);
   [[nodiscard]] std::vector<net::ServiceId> analyze(GatewayBackend& backend);

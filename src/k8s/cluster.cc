@@ -82,10 +82,13 @@ Pod* Cluster::find_pod(net::PodId id) {
 }
 
 Service* Cluster::find_service(net::ServiceId id) {
-  for (auto& s : services_) {
-    if (s->id == id) return s.get();
-  }
-  return nullptr;
+  // add_service numbers services from 1 in the low 32 bits and never
+  // removes one, so the low bits index services_; the full compare rejects
+  // another tenant's id.
+  const std::uint64_t index = (net::id_value(id) & 0xFFFF'FFFFu) - 1;
+  if (index >= services_.size()) return nullptr;
+  Service* service = services_[index].get();
+  return service->id == id ? service : nullptr;
 }
 
 Service* Cluster::find_service(const std::string& name) {

@@ -11,7 +11,10 @@ bool SessionTable::insert(const net::FiveTuple& tuple, net::ServiceId service,
     return false;
   }
   sessions_[tuple] = Session{tuple, service, now, now};
-  idle_floor_ = std::min(idle_floor_, now);
+  if (idle_floor_ == std::numeric_limits<sim::TimePoint>::max()) {
+    idle_floor_ = now;  // the table was empty
+    if (on_first_session_) on_first_session_();
+  }
   return true;
 }
 
@@ -30,6 +33,9 @@ const Session* SessionTable::find(const net::FiveTuple& tuple) const {
 bool SessionTable::remove(const net::FiveTuple& tuple) {
   if (sessions_.erase(tuple) == 0) return false;
   ++drop_epoch_;
+  if (sessions_.empty()) {
+    idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
+  }
   return true;
 }
 
@@ -89,6 +95,9 @@ std::size_t SessionTable::remove_for(net::ServiceId service) {
     }
   }
   if (dropped > 0) ++drop_epoch_;
+  if (sessions_.empty()) {
+    idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
+  }
   return dropped;
 }
 

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "net/flow.h"
 #include "net/ids.h"
@@ -31,6 +33,12 @@ class SessionTable {
   /// Inserts a new session; false when the table is full (flow rejected).
   bool insert(const net::FiveTuple& tuple, net::ServiceId service,
               sim::TimePoint now);
+
+  /// Called after an insert makes an empty table non-empty: the owner of
+  /// an idle-expiry deadline learns that one is due.
+  void set_on_first_session(std::function<void()> callback) {
+    on_first_session_ = std::move(callback);
+  }
 
   /// Looks up and refreshes last_active.
   [[nodiscard]] Session* touch(const net::FiveTuple& tuple, sim::TimePoint now);
@@ -55,6 +63,13 @@ class SessionTable {
                      static_cast<double>(capacity_);
   }
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
+
+  /// Lower bound on every live session's last activity; the largest
+  /// TimePoint when the table is empty. expire_idle(now, timeout) scans
+  /// only when now - idle_floor() > timeout.
+  [[nodiscard]] sim::TimePoint idle_floor() const noexcept {
+    return idle_floor_;
+  }
 
   /// Sessions belonging to `service`.
   [[nodiscard]] std::size_t count_for(net::ServiceId service) const;
@@ -87,11 +102,14 @@ class SessionTable {
   std::uint64_t rejected_ = 0;
   std::uint64_t drop_epoch_ = 0;
   /// Lower bound on every live session's last_active; the largest
-  /// TimePoint while the table is known to be empty. insert lowers it;
-  /// touch only raises last_active, because simulated time never runs
-  /// backwards; removes leave it a valid, if stale, bound. An expiry scan
-  /// resets it to the oldest survivor.
+  /// TimePoint exactly when the table is empty. An insert into an empty
+  /// table sets it to now (otherwise it is already at most now); touch
+  /// only raises last_active, because simulated time never runs
+  /// backwards; removes leave it a valid, if stale, bound, and reset it
+  /// once the table empties. An expiry scan resets it to the oldest
+  /// survivor.
   sim::TimePoint idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
+  std::function<void()> on_first_session_;
 };
 
 }  // namespace canal::proxy

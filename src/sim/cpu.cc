@@ -31,56 +31,107 @@ TimePoint CpuCore::execute(Duration cost, Callback&& done,
 
 void CpuCore::prune(TimePoint horizon) {
   while (!intervals_.empty() && intervals_.front().end < horizon) {
-    dropped_cum_ = intervals_.front().cum;
-    intervals_.pop_front();
+    pop_interval();
   }
   // Time-based pruning alone cannot bound memory when every retained
   // interval is younger than `history`; enforce the hard cap by dropping
   // the oldest entries.
-  while (intervals_.size() > kMaxIntervals) {
-    dropped_cum_ = intervals_.front().cum;
-    intervals_.pop_front();
+  while (intervals_.size() > kMaxIntervals) pop_interval();
+}
+
+inline void CpuCore::require_history() const {
+  if (history_ == kNoHistory) {
+    throw std::logic_error(
+        "CpuCore utilization query on a core built with kNoHistory");
   }
 }
 
-double CpuCore::utilization(Duration window) const {
-  if (history_ == kNoHistory) {
-    throw std::logic_error(
-        "CpuCore::utilization on a core built with kNoHistory");
-  }
-  if (window <= 0) return 0.0;
-  const TimePoint hi = loop_.now();
-  const TimePoint lo = hi - window;
+inline Duration CpuCore::busy_through(TimePoint t) const {
   // Intervals are appended in nondecreasing (start, end) order and are
-  // disjoint, so the window's overlap set is the contiguous index range
-  // [first, n): binary-search its start, then read the busy total out of
-  // the prefix sums and clip the two boundary intervals — only the first
-  // can start before `lo` and only the last can end after `hi`. The first
-  // one's start is implied by its end and its share of the prefix sum.
-  // The range always runs to the end: an interval opens at the `now` of
-  // the execute() that starts it (work queued behind a busy core coalesces
-  // into the back interval), so none starts after `hi`, and one starting
-  // exactly at `hi` is clipped to nothing. Pure integer arithmetic, so the
-  // result is bit-identical to the old linear accumulation. A window
-  // reaching past the oldest retained interval — the common case for long
-  // scoring windows — needs no search at all.
+  // disjoint, so the ones ending after `t` form a suffix. Read the busy
+  // time before its first interval out of the prefix sums and add that
+  // interval's part before `t` (its start is implied by its end and its
+  // share of the prefix sum). Integer arithmetic, so windows read exactly.
+  // An idle core, a busy core read at now, and a window reaching past the
+  // history need no search.
   const std::size_t n = intervals_.size();
-  std::size_t first = 0;
-  if (n > 0 && intervals_.front().end <= lo) {
-    for (std::size_t step = n; step > 0; step /= 2) {  // first with end > lo
-      while (first + step <= n && intervals_[first + step - 1].end <= lo) {
-        first += step;
+  if (n == 0) return dropped_cum_;
+  const Interval& back = intervals_.back();
+  if (back.end <= t) return back.cum;
+  std::size_t first = n - 1;
+  Duration before = dropped_cum_;
+  if (first > 0) {
+    const Interval& prev = intervals_[first - 1];
+    before = prev.cum;
+    if (prev.end > t) {
+      first = 0;
+      before = dropped_cum_;
+      if (intervals_.front().end <= t) {
+        for (std::size_t step = n; step > 0; step /= 2) {  // first end > t
+          while (first + step <= n && intervals_[first + step - 1].end <= t) {
+            first += step;
+          }
+        }
+        before = intervals_[first - 1].cum;
       }
     }
   }
-  if (first >= n) return 0.0;
-  const Duration before = first == 0 ? dropped_cum_ : intervals_[first - 1].cum;
-  Duration busy = intervals_.back().cum - before;
-  const TimePoint first_start =
-      intervals_[first].end - (intervals_[first].cum - before);
-  if (first_start < lo) busy -= lo - first_start;
-  if (intervals_.back().end > hi) busy -= intervals_.back().end - hi;
-  return static_cast<double>(busy) / static_cast<double>(window);
+  const Interval& at = intervals_[first];
+  const TimePoint start = at.end - (at.cum - before);
+  return start < t ? before + (t - start) : before;
+}
+
+void CpuCore::pop_interval() {
+  // Checkpoint each boundary the front interval ends after while it is
+  // still here (busy_through() then needs no search).
+  if (!checkpoints_) checkpoints_ = std::make_unique<Checkpoints>();
+  Checkpoints& cp = *checkpoints_;
+  for (auto k = cp.first + static_cast<std::int64_t>(cp.busy.size());
+       k * kCheckpointWidth < intervals_.front().end; ++k) {
+    cp.busy.push_back(busy_through(k * kCheckpointWidth));
+    if (cp.busy.size() > kMaxCheckpoints) {
+      cp.busy.pop_front();
+      ++cp.first;
+    }
+  }
+  dropped_cum_ = intervals_.front().cum;
+  intervals_.pop_front();
+}
+
+double CpuCore::utilization_between(TimePoint lo, TimePoint hi) const {
+  require_history();
+  if (hi <= lo) return 0.0;
+  return static_cast<double>(busy_through(hi) - busy_through(lo)) /
+         static_cast<double>(hi - lo);
+}
+
+Duration CpuCore::busy_at_checkpoint(std::int64_t k) const {
+  // Not written yet: the intervals still cover the boundary.
+  if (!checkpoints_) return busy_through(k * kCheckpointWidth);
+  const Checkpoints& cp = *checkpoints_;
+  const std::int64_t i = k - cp.first;
+  if (i >= static_cast<std::int64_t>(cp.busy.size())) {
+    return busy_through(k * kCheckpointWidth);
+  }
+  // Older than the kept checkpoints reads as idle.
+  return cp.busy[static_cast<std::size_t>(std::max<std::int64_t>(i, 0))];
+}
+
+double CpuCore::coarse_utilization(TimePoint lo, TimePoint hi) const {
+  require_history();
+  const TimePoint now = loop_.now();
+  const std::int64_t k_lo = std::max<TimePoint>(lo, 0) / kCheckpointWidth;
+  TimePoint t_hi = now;
+  Duration busy_hi = busy_through(now);
+  if (hi < now) {
+    const std::int64_t k_hi = std::max<TimePoint>(hi, 0) / kCheckpointWidth;
+    t_hi = k_hi * kCheckpointWidth;
+    busy_hi = busy_at_checkpoint(k_hi);
+  }
+  const TimePoint t_lo = k_lo * kCheckpointWidth;
+  if (t_hi <= t_lo) return 0.0;
+  return static_cast<double>(busy_hi - busy_at_checkpoint(k_lo)) /
+         static_cast<double>(t_hi - t_lo);
 }
 
 CpuSet::CpuSet(EventLoop& loop, std::size_t cores, Duration history) {
@@ -114,11 +165,34 @@ TimePoint CpuSet::execute_pinned(std::uint64_t hash, Duration cost,
                                                queue_wait);
 }
 
-double CpuSet::utilization(Duration window) const {
-  if (cores_.empty()) return 0.0;
+namespace {
+
+template <typename F>
+double mean_over(const std::vector<std::unique_ptr<CpuCore>>& cores, F f) {
+  if (cores.empty()) return 0.0;
   double sum = 0.0;
-  for (const auto& c : cores_) sum += c->utilization(window);
-  return sum / static_cast<double>(cores_.size());
+  for (const auto& c : cores) sum += f(*c);
+  return sum / static_cast<double>(cores.size());
+}
+
+}  // namespace
+
+double CpuSet::utilization(Duration window) const {
+  return mean_over(cores_, [&](const CpuCore& c) {
+    return c.utilization(window);
+  });
+}
+
+double CpuSet::utilization_between(TimePoint lo, TimePoint hi) const {
+  return mean_over(cores_, [&](const CpuCore& c) {
+    return c.utilization_between(lo, hi);
+  });
+}
+
+double CpuSet::coarse_utilization(TimePoint lo, TimePoint hi) const {
+  return mean_over(cores_, [&](const CpuCore& c) {
+    return c.coarse_utilization(lo, hi);
+  });
 }
 
 double CpuSet::max_core_utilization(Duration window) const {

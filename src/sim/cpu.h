@@ -3,11 +3,12 @@
 // A core accepts work items with a service cost; completion time is
 // max(now, core-free-time) + cost, so queueing delay and saturation emerge
 // naturally. Busy intervals are retained (bounded) so callers can ask for
-// utilization over arbitrary trailing windows — the signal Canal's anomaly
-// detection and precise scaling operate on. Only cores whose utilization
-// something reads keep that history: gateway replicas (scaling, pattern
-// monitor, MeshGateway::resolve) and k8s nodes (intervention). Every other
-// owner builds its cores with CpuCore::kNoHistory.
+// utilization over any recent window — the signal Canal's anomaly
+// detection and precise scaling operate on — and older busy time survives
+// as 5-minute checkpoints. Only cores whose utilization something reads
+// keep that history: gateway replicas (scaling, pattern monitor,
+// MeshGateway::resolve) and k8s nodes (intervention). Every other owner
+// builds its cores with CpuCore::kNoHistory.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,10 @@ class CpuCore {
   /// `history` bounds how far back utilization queries may reach.
   /// kNoHistory keeps none: timing, queue waits, total_busy() and jobs()
   /// are unchanged, but utilization() throws.
-  explicit CpuCore(EventLoop& loop, Duration history = 5 * kMinute)
+  explicit CpuCore(EventLoop& loop, Duration history = kDefaultHistory)
       : loop_(loop), history_(history) {}
+
+  static constexpr Duration kDefaultHistory = 5 * kMinute;
 
   /// `history` value for a core whose utilization nothing reads: execute()
   /// skips the interval bookkeeping. The on-node proxies, the key server,
@@ -63,9 +66,24 @@ class CpuCore {
     return free_at_ > loop_.now() ? free_at_ - loop_.now() : 0;
   }
 
-  /// Fraction of [t - window, t] the core was (or is committed to be) busy.
-  /// Throws std::logic_error on a kNoHistory core, which has no answer.
-  [[nodiscard]] double utilization(Duration window) const;
+  /// Fraction of [now - window, now] the core was (or is committed to be)
+  /// busy. Throws std::logic_error on a kNoHistory core, which has no
+  /// answer.
+  [[nodiscard]] double utilization(Duration window) const {
+    return utilization_between(loop_.now() - window, loop_.now());
+  }
+
+  /// Fraction of [lo, hi], hi <= now, the core was busy. Intervals inside
+  /// a past window never change, so while the history covers it this is
+  /// what utilization() read when `hi` was now. Throws like utilization().
+  [[nodiscard]] double utilization_between(TimePoint lo, TimePoint hi) const;
+
+  static constexpr Duration kCheckpointWidth = kDefaultHistory;
+
+  /// Utilization over [lo, hi] with both ends snapped down to
+  /// kCheckpointWidth boundaries (an `hi` at or past now reads now), from
+  /// the busy-time checkpoints: reaches back a day, not just the history.
+  [[nodiscard]] double coarse_utilization(TimePoint lo, TimePoint hi) const;
 
   /// Total busy time ever committed to this core.
   [[nodiscard]] Duration total_busy() const noexcept { return total_busy_; }
@@ -99,6 +117,15 @@ class CpuCore {
   };
   static_assert(sizeof(Interval) == 16);
   void prune(TimePoint horizon);
+  void pop_interval();
+  void require_history() const;
+  /// Busy time in [0, t] as the retained intervals see it (pruned busy
+  /// time after t is counted before it).
+  [[nodiscard]] Duration busy_through(TimePoint t) const;
+  /// Busy time in [0, k * kCheckpointWidth]; the boundary must be <= now.
+  [[nodiscard]] Duration busy_at_checkpoint(std::int64_t k) const;
+
+  static constexpr std::size_t kMaxCheckpoints = 25 * kHour / kCheckpointWidth;
 
   EventLoop& loop_;
   Duration history_;
@@ -115,6 +142,15 @@ class CpuCore {
   // allocation-free.
   RingDeque<Interval> intervals_;
   Duration dropped_cum_ = 0;  // cum of the last pruned interval
+  // busy[i]: busy time by boundary (first + i) * kCheckpointWidth.
+  // pop_interval() writes each boundary before the intervals stop covering
+  // it, and allocates this at the first prune: a run shorter than the
+  // history pays one null pointer per core.
+  struct Checkpoints {
+    RingDeque<Duration> busy;
+    std::int64_t first = 0;
+  };
+  std::unique_ptr<Checkpoints> checkpoints_;
 };
 
 /// A group of cores (a VM or a node). Dispatch is least-loaded by default,
@@ -122,7 +158,8 @@ class CpuCore {
 class CpuSet {
  public:
   /// Every core gets `history` (CpuCore::kNoHistory for none).
-  CpuSet(EventLoop& loop, std::size_t cores, Duration history = 5 * kMinute);
+  CpuSet(EventLoop& loop, std::size_t cores,
+         Duration history = CpuCore::kDefaultHistory);
 
   [[nodiscard]] std::size_t size() const noexcept { return cores_.size(); }
 
@@ -142,9 +179,11 @@ class CpuSet {
   /// Index of the core that would next become free.
   [[nodiscard]] std::size_t least_loaded() const;
 
-  /// Mean utilization across cores over the trailing window. Like the
-  /// per-core query, throws std::logic_error on kNoHistory cores.
+  /// Means across cores of the CpuCore queries of the same name. Like
+  /// them, they throw std::logic_error on kNoHistory cores.
   [[nodiscard]] double utilization(Duration window) const;
+  [[nodiscard]] double utilization_between(TimePoint lo, TimePoint hi) const;
+  [[nodiscard]] double coarse_utilization(TimePoint lo, TimePoint hi) const;
 
   /// Peak single-core utilization over the trailing window. Throws
   /// std::logic_error on kNoHistory cores.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace canal::sim {
@@ -87,11 +88,24 @@ void TimeSeries::prune(TimePoint now) {
   }
 }
 
+std::pair<std::size_t, std::size_t> TimeSeries::window(TimePoint lo,
+                                                       TimePoint hi) const {
+  // Samples are time-ordered, so the ones inside [lo, hi] are the
+  // contiguous run between two binary searches; visiting it front to back
+  // keeps every reduction's summation order, and so its bits, unchanged.
+  const auto first = std::partition_point(
+      samples_.begin(), samples_.end(),
+      [lo](const Sample& s) { return s.t < lo; });
+  const auto last = std::partition_point(
+      first, samples_.end(), [hi](const Sample& s) { return s.t <= hi; });
+  return {static_cast<std::size_t>(first - samples_.begin()),
+          static_cast<std::size_t>(last - samples_.begin())};
+}
+
 double TimeSeries::sum_in(TimePoint lo, TimePoint hi) const {
   double sum = 0.0;
-  for (const auto& s : samples_) {
-    if (s.t >= lo && s.t <= hi) sum += s.value;
-  }
+  const auto [first, last] = window(lo, hi);
+  for (std::size_t i = first; i < last; ++i) sum += samples_[i].value;
   return sum;
 }
 
@@ -101,47 +115,40 @@ double TimeSeries::mean_in(TimePoint lo, TimePoint hi) const {
 }
 
 double TimeSeries::max_in(TimePoint lo, TimePoint hi) const {
+  const auto [first, last] = window(lo, hi);
   double best = 0.0;
-  bool any = false;
-  for (const auto& s : samples_) {
-    if (s.t >= lo && s.t <= hi) {
-      best = any ? std::max(best, s.value) : s.value;
-      any = true;
-    }
+  for (std::size_t i = first; i < last; ++i) {
+    best = i == first ? samples_[i].value : std::max(best, samples_[i].value);
   }
   return best;
 }
 
 std::size_t TimeSeries::count_in(TimePoint lo, TimePoint hi) const {
-  std::size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.t >= lo && s.t <= hi) ++n;
-  }
-  return n;
+  const auto [first, last] = window(lo, hi);
+  return last - first;
 }
 
 std::optional<double> TimeSeries::value_at(TimePoint t) const {
-  std::optional<double> out;
-  for (const auto& s : samples_) {
-    if (s.t <= t) out = s.value;
-    else break;
-  }
-  return out;
+  const auto after = std::partition_point(
+      samples_.begin(), samples_.end(),
+      [t](const Sample& s) { return s.t <= t; });
+  if (after == samples_.begin()) return std::nullopt;
+  return std::prev(after)->value;
 }
 
 double TimeSeries::trend_in(TimePoint lo, TimePoint hi) const {
   // Least squares slope of value vs time (seconds).
   double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  std::size_t n = 0;
-  for (const auto& s : samples_) {
-    if (s.t < lo || s.t > hi) continue;
+  const auto [first, last] = window(lo, hi);
+  for (std::size_t i = first; i < last; ++i) {
+    const Sample& s = samples_[i];
     const double x = to_seconds(s.t - lo);
     sx += x;
     sy += s.value;
     sxx += x * x;
     sxy += x * s.value;
-    ++n;
   }
+  const std::size_t n = last - first;
   if (n < 2) return 0.0;
   const double denom = static_cast<double>(n) * sxx - sx * sx;
   if (denom == 0.0) return 0.0;

@@ -70,7 +70,9 @@ class Histogram {
   mutable bool sorted_valid_ = false;
 };
 
-/// Timestamped value series with trailing-window reductions.
+/// Timestamped value series with trailing-window reductions. record()
+/// times must be nondecreasing: window queries binary-search for their
+/// bounds.
 class TimeSeries {
  public:
   struct Sample {
@@ -103,6 +105,10 @@ class TimeSeries {
 
  private:
   void prune(TimePoint now);
+  /// Index range [first, last) of the samples inside [lo, hi] (empty when
+  /// lo > hi).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> window(TimePoint lo,
+                                                          TimePoint hi) const;
   Duration max_age_;
   // RingDeque: the sliding retention window would otherwise churn deque
   // chunk allocations forever in steady state (see ring_deque.h).

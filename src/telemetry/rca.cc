@@ -3,31 +3,27 @@
 #include <algorithm>
 
 namespace canal::telemetry {
-namespace {
 
-/// Samples a series at fixed points, carrying the last value forward.
-std::vector<double> sample(const sim::TimeSeries& series, sim::TimePoint lo,
-                           sim::TimePoint hi, std::size_t points) {
-  std::vector<double> out;
-  if (points < 2 || hi <= lo) return out;
+std::vector<sim::TimePoint> RootCauseAnalyzer::sample_times(
+    sim::TimePoint window_lo, sim::TimePoint window_hi) const {
+  std::vector<sim::TimePoint> out;
+  const std::size_t points = config_.sample_points;
+  if (points < 2 || window_hi <= window_lo) return out;
   out.reserve(points);
-  const sim::Duration step = (hi - lo) / static_cast<sim::Duration>(points - 1);
+  const sim::Duration step =
+      (window_hi - window_lo) / static_cast<sim::Duration>(points - 1);
   for (std::size_t i = 0; i < points; ++i) {
-    const auto v = series.value_at(lo + static_cast<sim::Duration>(i) * step);
-    out.push_back(v.value_or(0.0));
+    out.push_back(window_lo + static_cast<sim::Duration>(i) * step);
   }
   return out;
 }
 
-}  // namespace
-
 std::vector<net::ServiceId> RootCauseAnalyzer::pinpoint(
-    const sim::TimeSeries& backend_load,
+    std::span<const double> load_samples,
     const std::map<net::ServiceId, const sim::TimeSeries*>& service_rps,
     sim::TimePoint window_lo, sim::TimePoint window_hi) const {
-  const auto load_samples =
-      sample(backend_load, window_lo, window_hi, config_.sample_points);
   if (load_samples.empty()) return {};
+  const std::vector<sim::TimePoint> times = sample_times(window_lo, window_hi);
 
   // Rank services by current RPS and keep the top-k candidates.
   std::vector<std::pair<net::ServiceId, const sim::TimeSeries*>> candidates(
@@ -46,8 +42,12 @@ std::vector<net::ServiceId> RootCauseAnalyzer::pinpoint(
   std::vector<std::pair<net::ServiceId, double>> suspects;
   for (const auto& [service, series] : candidates) {
     if (series == nullptr) continue;
-    const auto rps_samples =
-        sample(*series, window_lo, window_hi, config_.sample_points);
+    // Carry each service's last RPS reading forward to the sample times.
+    std::vector<double> rps_samples;
+    rps_samples.reserve(times.size());
+    for (const sim::TimePoint t : times) {
+      rps_samples.push_back(series->value_at(t).value_or(0.0));
+    }
     const double corr = sim::pearson(rps_samples, load_samples);
     const double trend = series->trend_in(window_lo, window_hi);
     if (corr >= config_.correlation_threshold && trend >= config_.min_trend) {
@@ -66,7 +66,7 @@ std::vector<net::ServiceId> RootCauseAnalyzer::pinpoint(
 }
 
 std::vector<net::ServiceId> RootCauseAnalyzer::pinpoint(
-    const sim::TimeSeries& backend_load, const MetricsRegistry& metrics,
+    std::span<const double> load_samples, const MetricsRegistry& metrics,
     sim::TimePoint window_lo, sim::TimePoint window_hi) const {
   std::map<net::ServiceId, const sim::TimeSeries*> service_rps;
   for (const auto& [labels, series] :
@@ -80,7 +80,7 @@ std::vector<net::ServiceId> RootCauseAnalyzer::pinpoint(
     }
     service_rps[static_cast<net::ServiceId>(std::stoull(value))] = series;
   }
-  return pinpoint(backend_load, service_rps, window_lo, window_hi);
+  return pinpoint(load_samples, service_rps, window_lo, window_hi);
 }
 
 std::vector<TenantSuspect> RootCauseAnalyzer::pinpoint_tenants(

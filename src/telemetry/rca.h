@@ -11,6 +11,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,11 +53,18 @@ class RootCauseAnalyzer {
  public:
   explicit RootCauseAnalyzer(RcaConfig config = {}) : config_(config) {}
 
-  /// Basic algorithm over one backend. `service_rps` maps the backend's
-  /// services to their RPS histories; `backend_load` is the water-level
-  /// history. Returns suspected services ordered by correlation strength.
+  /// The times the analysis samples [window_lo, window_hi] at: `sample_points`
+  /// evenly spaced points from window_lo; none when there are fewer than
+  /// two points or the window is empty.
+  [[nodiscard]] std::vector<sim::TimePoint> sample_times(
+      sim::TimePoint window_lo, sim::TimePoint window_hi) const;
+
+  /// Basic algorithm over one backend. `load_samples` is the backend's
+  /// water level at sample_times(window_lo, window_hi); `service_rps` maps
+  /// the backend's services to their RPS histories. Returns suspected
+  /// services ordered by correlation strength.
   [[nodiscard]] std::vector<net::ServiceId> pinpoint(
-      const sim::TimeSeries& backend_load,
+      std::span<const double> load_samples,
       const std::map<net::ServiceId, const sim::TimeSeries*>& service_rps,
       sim::TimePoint window_lo, sim::TimePoint window_hi) const;
 
@@ -65,7 +73,7 @@ class RootCauseAnalyzer {
   /// runs the basic algorithm over them. Series without a parseable
   /// service label are ignored.
   [[nodiscard]] std::vector<net::ServiceId> pinpoint(
-      const sim::TimeSeries& backend_load, const MetricsRegistry& metrics,
+      std::span<const double> load_samples, const MetricsRegistry& metrics,
       sim::TimePoint window_lo, sim::TimePoint window_hi) const;
 
   /// Tenant attribution over a fairness report: flags tenants whose

@@ -5,7 +5,9 @@
 // constrained bandwidth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "canal/canal_mesh.h"
 #include "canal/inphase_migration.h"
@@ -18,12 +20,13 @@ namespace {
 struct OpsWorld {
   sim::EventLoop loop;
   k8s::Cluster cluster{loop, static_cast<net::TenantId>(1), sim::Rng(4001)};
-  MeshGateway gateway{loop, GatewayConfig{}, sim::Rng(4003)};
+  MeshGateway gateway;
   std::unique_ptr<CanalMesh> mesh;
   k8s::Service* api = nullptr;
   k8s::Pod* client = nullptr;
 
-  OpsWorld() {
+  explicit OpsWorld(const GatewayConfig& config = {})
+      : gateway(loop, config, sim::Rng(4003)) {
     gateway.add_az(4);
     cluster.add_node(static_cast<net::AzId>(0), 16);
     api = &cluster.add_service("api");
@@ -260,6 +263,214 @@ TEST(InPhaseSelection, LongSessionGaugeIsExactWithSamplingOff) {
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked.front(), fewer);
   EXPECT_EQ(ranked.back(), more);
+}
+
+// --- the sampling grid against the tick it replaced -------------------
+
+/// The periodic sampling tick GatewayBackend used to run, replayed as a
+/// reference: every `period` it records cpu_utilization(5 s) into a
+/// TimeSeries, which value_at() then reads.
+struct TickReference {
+  TickReference(sim::EventLoop& loop, GatewayBackend& backend)
+      : loop(loop), backend(backend) {}
+
+  void start(sim::Duration period) {
+    timer = std::make_unique<sim::PeriodicTimer>(loop, period, [this] {
+      series.record(loop.now(), backend.cpu_utilization(sim::seconds(5)));
+    });
+    timer->start(period);
+  }
+  void stop() {
+    if (timer) timer->stop();
+  }
+
+  sim::EventLoop& loop;
+  GatewayBackend& backend;
+  sim::TimeSeries series{sim::hours(25)};
+  std::unique_ptr<sim::PeriodicTimer> timer;
+};
+
+TEST(SamplingGrid, LoadAtReplaysTheSamplingTick) {
+  // Random aggregate load, requests, and sampling starts, stops and
+  // restarts with varying periods: wherever the tick's 5 s window is still
+  // inside the CPU history, load_at() returns the tick's value bit for bit.
+  OpsWorld world;
+  const std::vector<GatewayBackend*> backends = world.gateway.all_backends();
+  std::vector<std::unique_ptr<TickReference>> refs;
+  for (GatewayBackend* backend : backends) {
+    refs.push_back(std::make_unique<TickReference>(world.loop, *backend));
+  }
+  const sim::Duration periods[] = {sim::milliseconds(250), sim::seconds(1),
+                                   sim::seconds(3), sim::seconds(7)};
+  sim::Rng rng(4021);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::size_t compared = 0;
+  std::size_t sampled = 0;
+  for (int step = 0; step < 800; ++step) {
+    const double action = rng.uniform();
+    const std::size_t b = pick(backends.size());
+    if (action < 0.08) {
+      if (refs[b]->timer && refs[b]->timer->running() &&
+          rng.uniform() < 0.5) {
+        backends[b]->stop_sampling();
+        refs[b]->stop();
+      } else {
+        const sim::Duration period = periods[pick(std::size(periods))];
+        backends[b]->start_sampling(period);
+        refs[b]->start(period);
+      }
+    } else if (action < 0.5) {
+      backends[b]->inject_load(world.api->id, rng.uniform(0.0, 20000.0),
+                               rng.uniform_int(sim::milliseconds(200),
+                                               sim::seconds(8)));
+    } else if (action < 0.7) {
+      mesh::RequestOptions opts;
+      opts.client = world.client;
+      opts.dst_service = world.api->id;
+      opts.new_connection = rng.uniform() < 0.5;
+      world.mesh->send_request(opts, [](mesh::RequestResult) {});
+    }
+    world.loop.run_until(world.loop.now() +
+                         rng.uniform_int(sim::milliseconds(1),
+                                         sim::seconds(4)));
+    const sim::TimePoint now = world.loop.now();
+    for (std::size_t i = 0; i < backends.size(); ++i) {
+      for (int q = 0; q < 3; ++q) {
+        const sim::TimePoint t = now - rng.uniform_int(0, sim::seconds(70));
+        const auto& samples = refs[i]->series.samples();
+        const auto after = std::partition_point(
+            samples.begin(), samples.end(),
+            [t](const sim::TimeSeries::Sample& s) { return s.t <= t; });
+        if (after != samples.begin()) {
+          // Only windows the 5 min history still covers are exact.
+          const sim::TimePoint point = std::prev(after)->t;
+          if (point - sim::seconds(5) <
+              now - sim::CpuCore::kDefaultHistory) {
+            continue;
+          }
+          ++sampled;
+        }
+        ASSERT_EQ(backends[i]->load_at(t),
+                  refs[i]->series.value_at(t).value_or(0.0))
+            << "backend " << i << " at " << t << ", now " << now;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(world.loop.now(), 3 * sim::CpuCore::kDefaultHistory);
+  EXPECT_GT(sampled, 2000u);
+  EXPECT_GT(compared, sampled);
+}
+
+TEST(SamplingGrid, LoadAtAveragesTheReplicasAliveNow) {
+  // The tick averaged the replicas alive at its point; load_at() reads the
+  // alive set when it is asked. A crash or revive between the two is the
+  // one place they differ.
+  OpsWorld world;
+  GatewayBackend& backend = *world.gateway.all_backends().front();
+  TickReference ref(world.loop, backend);
+  backend.start_sampling(sim::seconds(1));
+  ref.start(sim::seconds(1));
+  backend.replica(0)->cpu().core(0).execute(sim::milliseconds(2500));
+  world.loop.run_until(sim::seconds(3) + sim::milliseconds(100));
+  const double at_tick = ref.series.value_at(sim::seconds(3)).value();
+  EXPECT_GT(at_tick, 0.0);
+  EXPECT_EQ(backend.load_at(sim::seconds(3)), at_tick);
+
+  backend.crash_replica(backend.replica(0)->id());
+  EXPECT_NE(backend.load_at(sim::seconds(3)), at_tick);
+  EXPECT_EQ(backend.load_at(sim::seconds(3)),
+            backend.replica(1)->cpu().utilization_between(
+                sim::seconds(-2), sim::seconds(3)));
+  backend.revive_replica(backend.replica(0)->id());
+  EXPECT_EQ(backend.load_at(sim::seconds(3)), at_tick);
+}
+
+TEST(SamplingGrid, SessionsExpireAtTheTicksOfAPeriodicSweep) {
+  // Two identical worlds run the same random pinned-flow schedule. One
+  // samples (expiry by deadline); the other sweeps every replica's table
+  // on a PeriodicTimer, as the sampling tick did. Expiry counts and live
+  // sessions agree at every 50 ms step, and once the flows go quiet the
+  // sampled world's expiry event stops arming.
+  GatewayConfig config;
+  config.session_idle_timeout = sim::seconds(5);
+  for (const sim::Duration period :
+       {sim::seconds(1), sim::milliseconds(700)}) {
+    OpsWorld sampled(config);
+    OpsWorld swept(config);
+    const std::size_t events_before = sampled.loop.pending_events();
+    for (GatewayBackend* backend : sampled.gateway.all_backends()) {
+      backend->start_sampling(period);
+    }
+    // Every table is empty: nothing waits on the grid.
+    EXPECT_EQ(sampled.loop.pending_events(), events_before);
+
+    std::uint64_t swept_expired = 0;
+    std::vector<std::unique_ptr<sim::PeriodicTimer>> sweeps;
+    for (GatewayBackend* backend : swept.gateway.all_backends()) {
+      sweeps.push_back(std::make_unique<sim::PeriodicTimer>(
+          swept.loop, period, [&swept, &swept_expired, &config, backend] {
+            for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+              swept_expired +=
+                  backend->replica(r)->engine().sessions().expire_idle(
+                      swept.loop.now(), config.session_idle_timeout);
+            }
+          }));
+      sweeps.back()->start(period);
+    }
+
+    sim::Rng rng(4027);
+    const sim::TimePoint quiet = sim::minutes(2);
+    for (std::uint16_t flow = 0; flow < 8; ++flow) {
+      sim::TimePoint at = rng.uniform_int(0, sim::seconds(3));
+      for (bool first = true; at < quiet; first = false) {
+        const sim::Duration gap = rng.uniform_int(sim::seconds(1),
+                                                  sim::seconds(12));
+        const bool fresh = first || rng.uniform() < 0.3;
+        for (OpsWorld* world : {&sampled, &swept}) {
+          mesh::RequestOptions opts;
+          opts.client = world->client;
+          opts.dst_service = world->api->id;
+          opts.src_port = static_cast<std::uint16_t>(30'000 + flow);
+          opts.close_after = false;
+          opts.new_connection = fresh;
+          world->loop.post_at(at, [world, opts] {
+            world->mesh->send_request(opts, [](mesh::RequestResult) {});
+          });
+        }
+        at += gap;
+      }
+    }
+
+    const auto live = [](OpsWorld& world) {
+      std::size_t n = 0;
+      for (GatewayBackend* backend : world.gateway.all_backends()) {
+        for (std::size_t r = 0; r < backend->replica_count(); ++r) {
+          n += backend->replica(r)->engine().sessions().size();
+        }
+      }
+      return n;
+    };
+    std::uint64_t sampled_expired = 0;
+    for (sim::TimePoint t = 0; t <= quiet + sim::seconds(30);
+         t += sim::milliseconds(50)) {
+      sampled.loop.run_until(t);
+      swept.loop.run_until(t);
+      sampled_expired = 0;
+      for (GatewayBackend* backend : sampled.gateway.all_backends()) {
+        sampled_expired += backend->sessions_expired();
+      }
+      ASSERT_EQ(sampled_expired, swept_expired) << "at " << t;
+      ASSERT_EQ(live(sampled), live(swept)) << "at " << t;
+    }
+    EXPECT_GT(sampled_expired, 10u);
+    EXPECT_EQ(live(sampled), 0u);
+    // All tables empty again: no expiry event is left waiting.
+    EXPECT_EQ(sampled.loop.pending_events(), events_before);
+  }
 }
 
 TEST(ControllerOps, ConstrainedSouthbandSerializesPushes) {

@@ -151,6 +151,30 @@ TEST(Cluster, FindPodByIdIncludingTerminated) {
   EXPECT_EQ(removed->phase(), PodPhase::kTerminated);
 }
 
+TEST(Cluster, FindServiceByIdIndexesTheLowBits) {
+  sim::EventLoop loop;
+  Cluster cluster = make_cluster(loop);
+  Cluster other(loop, static_cast<net::TenantId>(2), sim::Rng(137));
+  std::vector<Service*> services;
+  for (int i = 0; i < 12; ++i) {
+    services.push_back(&cluster.add_service("s" + std::to_string(i)));
+    other.add_service("t" + std::to_string(i));
+  }
+  for (Service* service : services) {
+    EXPECT_EQ(cluster.find_service(service->id), service);
+  }
+  // Same low bits, another tenant: not this cluster's service.
+  for (const auto& foreign : other.services()) {
+    EXPECT_EQ(cluster.find_service(foreign->id), nullptr);
+  }
+  const std::uint64_t tenant = std::uint64_t{1} << 32;
+  for (const std::uint64_t raw : {std::uint64_t{0}, tenant, tenant | 13,
+                                  tenant | 0xFFFF'FFFFu, ~std::uint64_t{0}}) {
+    EXPECT_EQ(cluster.find_service(static_cast<net::ServiceId>(raw)), nullptr)
+        << raw;
+  }
+}
+
 TEST(Cluster, UniquePodIps) {
   sim::EventLoop loop;
   Cluster cluster = make_cluster(loop);

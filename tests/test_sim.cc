@@ -1028,6 +1028,125 @@ TEST(CpuCore, UtilizationMatchesNaiveOverlapSum) {
             CpuCore::kMaxIntervals);
 }
 
+TEST(CpuCore, PastWindowReadsWhatTheTrailingWindowReadThen) {
+  // Busy intervals inside a past window never change, so a window read
+  // later gives the bits utilization() gave when its end was now, as long
+  // as the history still covers it.
+  EventLoop loop;
+  CpuCore core(loop);
+  Rng rng(11);
+  struct Reading {
+    TimePoint at;
+    Duration window;
+    double value;
+  };
+  std::vector<Reading> readings;
+  for (int i = 0; i < 4000; ++i) {
+    loop.run_until(loop.now() + rng.uniform_int(0, milliseconds(300)));
+    if (rng.uniform() < 0.7) core.execute(rng.uniform_int(0, milliseconds(90)));
+    const Duration window = rng.uniform_int(1, seconds(20));
+    readings.push_back({loop.now(), window, core.utilization(window)});
+    for (int q = 0; q < 3; ++q) {
+      const Reading& r = readings[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(readings.size()) - 1))];
+      if (r.at - r.window < loop.now() - CpuCore::kDefaultHistory) continue;
+      ASSERT_EQ(core.utilization_between(r.at - r.window, r.at), r.value)
+          << "read at " << r.at << " over " << r.window << ", now "
+          << loop.now();
+    }
+  }
+  EXPECT_GT(loop.now(), 2 * CpuCore::kDefaultHistory);  // pruning ran
+  EXPECT_EQ(core.utilization_between(seconds(5), seconds(5)), 0.0);
+}
+
+TEST(CpuCore, CheckpointsKeepBusyTimeOlderThanTheHistory) {
+  // A core with a 1 s history reads windows on checkpoint boundaries
+  // exactly as a core that kept every interval, hours later.
+  EventLoop loop;
+  CpuCore brief(loop, seconds(1));
+  CpuCore full(loop, 24 * kHour);
+  Rng rng(5);
+  const Duration width = CpuCore::kCheckpointWidth;
+  while (loop.now() < 3 * kHour) {
+    loop.run_until(loop.now() + rng.uniform_int(0, seconds(20)));
+    const Duration cost = rng.uniform_int(0, seconds(8));
+    brief.execute(cost);
+    full.execute(cost);
+  }
+  loop.run_until(loop.now() + seconds(1));
+  EXPECT_LT(brief.interval_count(), 3u);
+  EXPECT_GT(full.interval_count(), 500u);
+  for (TimePoint lo = 0; lo < loop.now(); lo += width) {
+    for (const TimePoint hi : {lo + width, lo + 7 * width, loop.now()}) {
+      EXPECT_EQ(brief.coarse_utilization(lo, hi),
+                full.coarse_utilization(lo, hi))
+          << "[" << lo << ", " << hi << "]";
+    }
+    // Ends snap down to boundaries.
+    if (lo + width < loop.now()) {
+      EXPECT_EQ(brief.coarse_utilization(lo + seconds(7), lo + width + 1),
+                full.utilization_between(lo, lo + width));
+    }
+  }
+  // The full-history core answers from its intervals: checkpoints agree
+  // with the exact busy time.
+  EXPECT_EQ(full.coarse_utilization(width, 4 * width),
+            full.utilization_between(width, 4 * width));
+  EXPECT_GT(brief.coarse_utilization(0, loop.now()), 0.0);
+  EXPECT_EQ(brief.coarse_utilization(width, width + 1), 0.0);  // empty
+}
+
+TEST(TimeSeries, WindowQueriesMatchLinearScan) {
+  // Binary-searched windows visit the same samples in the same order as
+  // a scan from the front, so every reduction is bit-identical: random
+  // series with duplicate timestamps, queried in and out of range and
+  // with inverted bounds.
+  Rng rng(17);
+  for (int round = 0; round < 200; ++round) {
+    TimeSeries series;
+    std::vector<TimeSeries::Sample> all;
+    TimePoint t = rng.uniform_int(-50, 50);
+    const auto n = rng.uniform_int(0, 40);
+    for (std::int64_t i = 0; i < n; ++i) {
+      t += rng.uniform() < 0.3 ? 0 : rng.uniform_int(1, 20);
+      const double v = rng.uniform(-5.0, 5.0);
+      series.record(t, v);
+      all.push_back({t, v});
+    }
+    for (int q = 0; q < 50; ++q) {
+      const TimePoint lo = rng.uniform_int(-80, t + 30);
+      const TimePoint hi = rng.uniform_int(lo - 10, t + 60);
+      double sum = 0.0, best = 0.0, sx = 0, sy = 0, sxx = 0, sxy = 0;
+      std::size_t count = 0;
+      std::optional<double> at;
+      for (const auto& s : all) {
+        if (s.t <= hi) at = s.value;
+        if (s.t < lo || s.t > hi) continue;
+        sum += s.value;
+        best = count == 0 ? s.value : std::max(best, s.value);
+        const double x = to_seconds(s.t - lo);
+        sx += x;
+        sy += s.value;
+        sxx += x * x;
+        sxy += x * s.value;
+        ++count;
+      }
+      ASSERT_EQ(series.count_in(lo, hi), count);
+      ASSERT_EQ(series.sum_in(lo, hi), sum);
+      ASSERT_EQ(series.max_in(lo, hi), best);
+      ASSERT_EQ(series.mean_in(lo, hi),
+                count == 0 ? 0.0 : sum / static_cast<double>(count));
+      ASSERT_EQ(series.value_at(hi), at);
+      const double denom = static_cast<double>(count) * sxx - sx * sx;
+      const double trend =
+          count < 2 || denom == 0.0
+              ? 0.0
+              : (static_cast<double>(count) * sxy - sx * sy) / denom;
+      ASSERT_EQ(series.trend_in(lo, hi), trend);
+    }
+  }
+}
+
 TEST(CpuCore, NoHistoryCoreKeepsTimingButNoIntervals) {
   // The same seeded job stream (idle gaps, queued bursts, zero-cost jobs)
   // on a default core and a kNoHistory core: every FCFS answer agrees, but

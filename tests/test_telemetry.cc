@@ -25,6 +25,17 @@ constexpr auto S1 = static_cast<net::ServiceId>(1);
 constexpr auto S2 = static_cast<net::ServiceId>(2);
 constexpr auto S3 = static_cast<net::ServiceId>(3);
 
+/// A backend-load series read at the analyzer's sample times.
+std::vector<double> load_samples(const RootCauseAnalyzer& rca,
+                                 const sim::TimeSeries& load,
+                                 sim::TimePoint lo, sim::TimePoint hi) {
+  std::vector<double> out;
+  for (const sim::TimePoint t : rca.sample_times(lo, hi)) {
+    out.push_back(load.value_at(t).value_or(0.0));
+  }
+  return out;
+}
+
 TEST(ServiceStats, RatesTrackEvents) {
   ServiceStats stats(sim::seconds(1));
   for (int i = 0; i < 100; ++i) {
@@ -129,7 +140,8 @@ TEST(Rca, PinpointsCorrelatedService) {
   }
   RootCauseAnalyzer rca;
   const auto suspects = rca.pinpoint(
-      load, {{S1, &rising}, {S2, &flat}, {S3, &small}}, sim::seconds(0),
+      load_samples(rca, load, 0, sim::seconds(60)),
+      {{S1, &rising}, {S2, &flat}, {S3, &small}}, sim::seconds(0),
       sim::seconds(60));
   ASSERT_FALSE(suspects.empty());
   EXPECT_EQ(suspects.front(), S1);
@@ -152,7 +164,8 @@ TEST(Rca, TopKLimitsCandidates) {
   config.top_k = 2;  // only the two big services are examined
   RootCauseAnalyzer rca(config);
   const auto suspects =
-      rca.pinpoint(load, {{S1, &rising_small}, {S2, &big1}, {S3, &big2}},
+      rca.pinpoint(load_samples(rca, load, 0, sim::seconds(60)),
+                   {{S1, &rising_small}, {S2, &big1}, {S3, &big2}},
                    sim::seconds(0), sim::seconds(60));
   EXPECT_EQ(std::find(suspects.begin(), suspects.end(), S1), suspects.end());
 }
@@ -172,7 +185,9 @@ TEST(Rca, NoDataNoSuspects) {
   sim::TimeSeries load;
   RootCauseAnalyzer rca;
   const std::map<net::ServiceId, const sim::TimeSeries*> no_series;
-  EXPECT_TRUE(rca.pinpoint(load, no_series, 0, sim::seconds(60)).empty());
+  EXPECT_TRUE(rca.pinpoint(load_samples(rca, load, 0, sim::seconds(60)),
+                           no_series, 0, sim::seconds(60))
+                  .empty());
 }
 
 // --- HdrHistogram -----------------------------------------------------------

@@ -249,7 +249,12 @@ TEST(RcaRegistry, PinpointsServiceCorrelatedWithBackendLoad) {
                             &unparseable);
 
   const telemetry::RootCauseAnalyzer rca;
-  const auto suspects = rca.pinpoint(load, registry, 0, 24 * sim::kSecond);
+  std::vector<double> load_samples;
+  for (const sim::TimePoint t : rca.sample_times(0, 24 * sim::kSecond)) {
+    load_samples.push_back(load.value_at(t).value_or(0.0));
+  }
+  const auto suspects =
+      rca.pinpoint(load_samples, registry, 0, 24 * sim::kSecond);
   ASSERT_EQ(suspects.size(), 1u);
   EXPECT_EQ(net::id_value(suspects.front()), 42u);
 }
