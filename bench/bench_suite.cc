@@ -1,11 +1,9 @@
-// bench_suite: the one-binary bench front-end. Expands the suite's
-// (scenario x variant x seed) grid into runner::RunSpecs, fans them out
-// over a work-stealing thread pool (--jobs), and reduces the results
-// single-threaded in spec-key order — so stdout tables and the --json
-// goldens (BENCH_latency.json, BENCH_throughput.json, BENCH_faults.json,
-// BENCH_selfperf.json, BENCH_fairness.json, BENCH_resilience.json,
-// BENCH_region.json, BENCH_controlplane.json, BENCH_ops.json) are
-// byte-identical at any worker count.
+// bench_suite: the one-binary bench front-end. Expands the family table
+// (scenarios.h `bench_families`) into a (family x variant x seed) grid of
+// runner::RunSpecs, fans them out over a work-stealing thread pool
+// (--jobs), and reduces the results single-threaded in spec-key order — so
+// stdout tables and the --json goldens (one BENCH_*.json per golden the
+// table names) are byte-identical at any worker count.
 //
 // See EXPERIMENTS.md for the paper-figure -> command map.
 #include <chrono>
@@ -14,7 +12,9 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +28,7 @@
 namespace canal::bench {
 namespace {
 
-constexpr const char* kUsage = R"(bench_suite — parallel experiment suite
+constexpr const char* kFlags = R"(bench_suite — parallel experiment suite
 
 Usage: bench_suite [flags]
 
@@ -44,17 +44,17 @@ Usage: bench_suite [flags]
                  repeat) and report the median wall-clock with variance
                  under the "wall." JSON keys. Simulated counters are
                  unaffected (identical across repeats).
-  --seeds K      run every scenario at seeds 1..K (default 1). K > 1 adds a
+  --seeds K      run every scenario at seeds 1..K (default 1; families
+                 without a seed sweep run at seed 1 only). K > 1 adds a
                  "<section>.seeds" block per scenario to --json output with
                  mean/p50/p95/min/max across seeds. Base sections always
                  report seed 1, so they are independent of K.
-  --json         write BENCH_latency.json, BENCH_throughput.json,
-                 BENCH_faults.json, BENCH_selfperf.json,
-                 BENCH_fairness.json, BENCH_resilience.json,
-                 BENCH_region.json, BENCH_controlplane.json and
-                 BENCH_ops.json (deterministic simulated values plus
-                 machine-dependent "wall." keys) into the current
-                 directory.
+  --json         write each family's golden (deterministic simulated
+                 values plus machine-dependent "wall." keys) into the
+                 current directory:
+)";
+
+constexpr const char* kFlagsTail = R"(
   --filter STR   run only specs whose scenario/variant key contains STR
                  (e.g. --filter throughput_knee, --filter canal).
   --trace-out F  write the noisy_neighbor/canal run's sampled traces as
@@ -67,118 +67,46 @@ Usage: bench_suite [flags]
   --help         this text.
 
 Scenarios (see EXPERIMENTS.md for the figure mapping):
-  latency_light    Fig 10  light-load latency + span decomposition
-  latency_bimodal  Fig 24  production-like E2E latency distribution
-  throughput_knee  Fig 11  P99-vs-load sweep and throughput knee
-  faults_podkill   stale-endpoint pod crashes, retries on/off
-  faults_gwcrash   gateway replica crash, health monitor on/off
-  faults_linkloss  link loss + latency spike, per-try timeouts
-  noisy_neighbor   Fig 16  per-tenant fairness under a one-tenant surge
-  resilience_retry_storm   dead service's retry storm vs circuit breaker
-  resilience_qod           query-of-death pod vs outlier ejection
-  resilience_ratelimit     tenant surge vs per-tenant token buckets
-  selfperf         simulator wall-clock speed + fastpath hit rates
-  region_scale     §6 region operating point: 1120 VMs, 1M RPS aggregate,
-                   Table 3 tenants, sharded across --shards partitions
-  config_churn_storm  rolling config epochs through the modeled
-                   propagation layer: convergence time, epoch skew, tail
-                   latency under churn
-  cert_rotation_wave  batched cert re-sign wave + epoch distribution of
-                   the fresh certs, under load
-  ops_surge_scaling  Fig 16  noisy-neighbour surge handled by precise
-                   scaling (Reuse), sampled gateway
-  ops_daily        Fig 20  a day of live operations: RPS + error codes
-  ops_inphase      §6.3  in-phase services scattered by the pattern monitor
-  ops_idle_expiry  §6.2  idle sessions expiring on a sampled gateway
-  ops_scaling      Fig 17/18, Table 4  Reuse vs New completion times and a
-                   month of scaling decisions
-  ops_health_checks  Tables 6/7  health-check probes and their aggregation
 )";
 
-struct SectionTarget {
-  const char* file;
-  std::string section;
-};
-
-/// Which golden file a scenario feeds, and under what section name
-/// (section names keep the retired binaries' layout where one existed).
-SectionTarget section_target(const runner::RunSpec& spec) {
-  if (spec.scenario == "latency_light") {
-    return {"BENCH_latency.json", spec.variant};
+/// --help text: the flags, the goldens --json writes and one line per
+/// family, all from the family table.
+std::string usage(const std::vector<Family>& families) {
+  std::string text = kFlags;
+  std::set<std::string> goldens;
+  for (const Family& family : families) goldens.insert(family.golden);
+  for (const std::string& golden : goldens) {
+    text += "                   " + golden + "\n";
   }
-  if (spec.scenario == "latency_bimodal") {
-    return {"BENCH_latency.json", "production"};
+  text += kFlagsTail;
+  for (const Family& family : families) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "  %-22s ", family.name.c_str());
+    text += name + family.summary + "\n";
   }
-  if (spec.scenario == "throughput_knee") {
-    return {"BENCH_throughput.json", spec.variant};
-  }
-  if (spec.scenario == "faults_podkill") {
-    return {"BENCH_faults.json", "podkill." + spec.variant};
-  }
-  if (spec.scenario == "faults_gwcrash") {
-    return {"BENCH_faults.json", "gwcrash." + spec.variant};
-  }
-  if (spec.scenario == "faults_linkloss") {
-    return {"BENCH_faults.json", "linkloss." + spec.variant};
-  }
-  if (spec.scenario == "noisy_neighbor") {
-    return {"BENCH_fairness.json", "noisy_neighbor." + spec.variant};
-  }
-  if (spec.scenario == "resilience_retry_storm") {
-    return {"BENCH_resilience.json", "retry_storm." + spec.variant};
-  }
-  if (spec.scenario == "resilience_qod") {
-    return {"BENCH_resilience.json", "qod." + spec.variant};
-  }
-  if (spec.scenario == "resilience_ratelimit") {
-    return {"BENCH_resilience.json", "ratelimit." + spec.variant};
-  }
-  if (spec.scenario == "region_scale") {
-    return {"BENCH_region.json", spec.variant};
-  }
-  if (spec.scenario == "config_churn_storm") {
-    return {"BENCH_controlplane.json", "churn." + spec.variant};
-  }
-  if (spec.scenario == "cert_rotation_wave") {
-    return {"BENCH_controlplane.json", "rotation." + spec.variant};
-  }
-  if (spec.scenario.starts_with("ops_")) {
-    return {"BENCH_ops.json", spec.scenario.substr(4)};
-  }
-  return {"BENCH_selfperf.json", spec.variant};
+  return text;
 }
 
-/// Headline metric summarized in the per-family seed-sweep table.
-const char* headline_metric(const std::string& scenario) {
-  if (scenario == "latency_light") return "mean_us";
-  if (scenario == "latency_bimodal") return "p50_ms";
-  if (scenario == "throughput_knee") return "knee_rps";
-  if (scenario == "noisy_neighbor") return "jain";
-  if (scenario == "resilience_retry_storm") return "victim_p99_fault_us";
-  if (scenario == "resilience_qod") return "late_error_rate";
-  if (scenario == "resilience_ratelimit") return "rate_limited";
-  if (scenario == "selfperf") return "events";
-  if (scenario == "region_scale") return "requests";
-  if (scenario == "config_churn_storm") return "convergence_ms_max";
-  if (scenario == "cert_rotation_wave") return "makespan_ms";
-  if (scenario == "ops_surge_scaling") return "alert_to_finish_s";
-  if (scenario == "ops_daily") return "scaling_events";
-  if (scenario == "ops_inphase") return "peak_after";
-  if (scenario == "ops_idle_expiry") return "gw_sessions_expired";
-  if (scenario == "ops_scaling") return "fig17.reuse_p50_s";
-  return "ok_fault";
+/// The table row behind a registered scenario name.
+const Family& family_of(const std::vector<Family>& families,
+                        const std::string& name) {
+  for (const Family& family : families) {
+    if (family.name == name) return family;
+  }
+  throw std::logic_error("no family named " + name);
 }
 
-void print_family_tables(const std::vector<runner::SweepGroup>& groups) {
+void print_family_tables(const std::vector<Family>& families,
+                         const std::vector<runner::SweepGroup>& groups) {
   // Family order follows the reduced (key-sorted) group order.
-  std::vector<std::string> families;
+  std::vector<std::string> names;
   for (const auto& group : groups) {
     const std::string& scenario = group.runs.front()->spec.scenario;
-    if (families.empty() || families.back() != scenario) {
-      families.push_back(scenario);
+    if (names.empty() || names.back() != scenario) {
+      names.push_back(scenario);
     }
   }
-  for (const std::string& family : families) {
+  for (const std::string& family : names) {
     const runner::SweepGroup* first = nullptr;
     std::size_t variants = 0;
     // Columns are the union of the family's metric names in first-seen
@@ -234,7 +162,7 @@ void print_family_tables(const std::vector<runner::SweepGroup>& groups) {
 
     // Seed-sweep whiskers for the family's headline metric.
     if (first->runs.size() > 1) {
-      const std::string metric = headline_metric(family);
+      const std::string& metric = family_of(families, family).headline;
       Table sweep(family + " seed sweep: " + metric);
       sweep.header({"variant", "mean", "p50", "p95", "min", "max"});
       for (const auto& group : groups) {
@@ -269,20 +197,22 @@ void print_family_tables(const std::vector<runner::SweepGroup>& groups) {
 /// Folds the reduced groups into the per-file JSON reports. Pure function
 /// of the (key-ordered) groups, so it never depends on --jobs.
 std::map<std::string, JsonReport> build_reports(
+    const std::vector<Family>& families,
     const std::vector<runner::SweepGroup>& groups) {
   std::map<std::string, JsonReport> reports;
   for (const auto& group : groups) {
     const runner::RunSpec& spec = group.runs.front()->spec;
-    const SectionTarget target = section_target(spec);
-    JsonReport& report = reports[target.file];
+    const Family& family = family_of(families, spec.scenario);
+    const std::string section = family.section_for(spec.variant);
+    JsonReport& report = reports[family.golden];
     const runner::Outcome* base = group.base();
     if (base == nullptr) {
-      report.set(target.section, "failed", 1.0);
-      report.set(target.section, "error",
+      report.set(section, "failed", 1.0);
+      report.set(section, "error",
                  group.runs.front()->result.error);
       continue;
     }
-    report.add_metrics(target.section, base->result.metrics);
+    report.add_metrics(section, base->result.metrics);
     // Scenarios that attach a per-run MetricsRegistry (noisy_neighbor) get
     // a ".merged" section: the per-seed registries folded with
     // runner::merge_group_registries (counters add, histograms merge
@@ -293,7 +223,7 @@ std::map<std::string, JsonReport> build_reports(
           runner::merge_group_registries(group);
       const auto fairness = telemetry::FairnessReport::from_registry(merged);
       if (!fairness.tenants.empty()) {
-        const std::string merged_section = target.section + ".merged";
+        const std::string merged_section = section + ".merged";
         for (const auto& tenant : fairness.tenants) {
           const std::string prefix =
               "t" + std::to_string(net::id_value(tenant.tenant)) + ".";
@@ -307,7 +237,7 @@ std::map<std::string, JsonReport> build_reports(
       }
     }
     if (group.runs.size() > 1) {
-      const std::string sweep_section = target.section + ".seeds";
+      const std::string sweep_section = section + ".seeds";
       report.set(sweep_section, "seeds",
                  static_cast<double>(group.runs.size()));
       std::size_t failed = 0;
@@ -347,6 +277,8 @@ std::map<std::string, JsonReport> build_reports(
 }
 
 int run_suite(int argc, char** argv) {
+  const std::vector<Family> families = bench_families();
+  const std::string help = usage(families);
   std::size_t jobs = 1;
   std::size_t shards = 0;  // 0 = flag absent, scenario default applies
   std::uint64_t seeds = 1;
@@ -361,7 +293,7 @@ int run_suite(int argc, char** argv) {
     const auto next_value = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n%s", arg.c_str(),
-                     kUsage);
+                     help.c_str());
         std::exit(2);
       }
       return argv[++i];
@@ -373,7 +305,7 @@ int run_suite(int argc, char** argv) {
       const long long parsed = std::strtoll(value, &end, 10);
       if (end == value || *end != '\0') {
         std::fprintf(stderr, "%s: not an integer: %s\n%s", arg.c_str(),
-                     value, kUsage);
+                     value, help.c_str());
         std::exit(2);
       }
       return parsed;
@@ -411,7 +343,7 @@ int run_suite(int argc, char** argv) {
       repeat = parse_int(next_value());
       if (repeat <= 0) {
         std::fprintf(stderr, "--repeat: want a positive count, got %lld\n%s",
-                     repeat, kUsage);
+                     repeat, help.c_str());
         return 2;
       }
     } else if (arg == "--json") {
@@ -425,10 +357,11 @@ int run_suite(int argc, char** argv) {
     } else if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("%s", kUsage);
+      std::printf("%s", help.c_str());
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n%s", arg.c_str(), kUsage);
+      std::fprintf(stderr, "unknown flag: %s\n%s", arg.c_str(),
+                   help.c_str());
       return 2;
     }
   }
@@ -452,8 +385,8 @@ int run_suite(int argc, char** argv) {
   }
 
   runner::Runner runner;
-  register_bench_scenarios(runner);
-  std::vector<runner::RunSpec> specs = suite_specs(seeds);
+  register_families(runner, families);
+  std::vector<runner::RunSpec> specs = family_specs(families, seeds);
   if (repeat > 1) {
     // Wall-clock repeats only make sense for the scenario that measures
     // wall-clock; every other scenario is invariant in everything --repeat
@@ -502,7 +435,7 @@ int run_suite(int argc, char** argv) {
 
   const std::vector<runner::SweepGroup> groups =
       runner::group_sweeps(outcomes);
-  print_family_tables(groups);
+  print_family_tables(families, groups);
 
   std::size_t failed = 0;
   for (const auto& outcome : outcomes) {
@@ -552,7 +485,7 @@ int run_suite(int argc, char** argv) {
   }
 
   if (json) {
-    for (const auto& [file, report] : build_reports(groups)) {
+    for (const auto& [file, report] : build_reports(families, groups)) {
       if (report.write_file(file)) {
         std::printf("  -> %s\n", file.c_str());
       } else {

@@ -74,11 +74,6 @@ inline std::string fmt(const char* format, double value) {
 }
 
 inline std::string fmt_us(double us) { return fmt("%.0fus", us); }
-inline std::string fmt_ms(double ms) { return fmt("%.2fms", ms); }
-inline std::string fmt_x(double ratio) { return fmt("%.1fx", ratio); }
-inline std::string fmt_pct(double fraction) {
-  return fmt("%.1f%%", fraction * 100.0);
-}
 
 /// The §5.1 testbed: worker nodes hosting app pods across a few services,
 /// with any of the four dataplanes attachable.
@@ -90,12 +85,10 @@ struct Testbed {
     std::size_t node_cores = 8;
     sim::Duration app_service_time = sim::milliseconds(1);
     std::size_t gateway_backends = 2;
-    /// Non-zero overrides for the canal gateway's capacity knobs — the
-    /// region-scale testbeds push two orders of magnitude more RPS per AZ
-    /// than the §5.1 defaults were sized for.
-    std::size_t gateway_replicas_per_backend = 0;
-    std::size_t gateway_replica_cores = 0;
-    std::size_t gateway_backends_per_service = 0;
+    /// The canal gateway's configuration (build_canal). The region-scale
+    /// testbeds widen it: they push two orders of magnitude more RPS per
+    /// AZ than the §5.1 defaults were sized for.
+    core::GatewayConfig gateway;
     std::uint64_t seed = 1;
   };
 
@@ -164,19 +157,8 @@ struct Testbed {
     ambient->install();
   }
   void build_canal() {
-    core::GatewayConfig config;
-    if (options.gateway_replicas_per_backend > 0) {
-      config.replicas_per_backend = options.gateway_replicas_per_backend;
-    }
-    if (options.gateway_replica_cores > 0) {
-      config.replica_cores = options.gateway_replica_cores;
-    }
-    if (options.gateway_backends_per_service > 0) {
-      config.backends_per_service_local =
-          options.gateway_backends_per_service;
-    }
-    gateway =
-        std::make_unique<core::MeshGateway>(loop, config, sim::Rng(options.seed + 3));
+    gateway = std::make_unique<core::MeshGateway>(
+        loop, options.gateway, sim::Rng(options.seed + 3));
     gateway->add_az(options.gateway_backends);
     key_server = std::make_unique<crypto::KeyServer>(
         loop, static_cast<net::AzId>(0), 8, sim::Rng(options.seed + 4));

@@ -45,14 +45,18 @@ struct RegionOptions {
   std::size_t node_cores = 8;
   sim::Duration app_service_time = sim::microseconds(500);
   /// Canal gateway sizing per AZ; the §5.1 defaults saturate two orders
-  /// of magnitude below the region point, so region AZs run wider.
-  std::size_t gateway_backends = 8;
-  std::size_t gateway_replicas_per_backend = 2;
-  std::size_t gateway_replica_cores = 4;
-  /// Shuffle-shard width: backends each service spreads over. The §5.1
-  /// default of 2 leaves single backend pairs carrying multi-service
+  /// of magnitude below the region point, so region AZs run wider: 2
+  /// replicas of 4 cores per backend, and a shuffle-shard width of 4. The
+  /// §5.1 width of 2 leaves single backend pairs carrying multi-service
   /// hotspots at region load; 4 of 8 keeps the worst draw under capacity.
-  std::size_t gateway_backends_per_service = 4;
+  std::size_t gateway_backends = 8;
+  core::GatewayConfig gateway = [] {
+    core::GatewayConfig config;
+    config.replicas_per_backend = 2;
+    config.replica_cores = 4;
+    config.backends_per_service_local = 4;
+    return config;
+  }();
   double aggregate_rps = 1'000'000.0;
   sim::Duration duration = sim::milliseconds(300);
   /// Fraction of each AZ's generators that target a remote AZ.
@@ -216,11 +220,7 @@ inline RegionRun run_region(const RegionOptions& opts,
     bed_opts.node_cores = opts.node_cores;
     bed_opts.app_service_time = opts.app_service_time;
     bed_opts.gateway_backends = opts.gateway_backends;
-    bed_opts.gateway_replicas_per_backend =
-        opts.gateway_replicas_per_backend;
-    bed_opts.gateway_replica_cores = opts.gateway_replica_cores;
-    bed_opts.gateway_backends_per_service =
-        opts.gateway_backends_per_service;
+    bed_opts.gateway = opts.gateway;
     bed_opts.seed = opts.seed * 9973 + az;
     beds.push_back(
         std::make_unique<Testbed>(sim.domain_loop(az), bed_opts));

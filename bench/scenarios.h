@@ -1,8 +1,8 @@
 // The bench suite's scenario registry: every table the retired serial
-// binaries (bench_latency, bench_throughput, bench_faults, bench_selfperf,
-// and the §6 operations binaries bench_noisy_neighbor, bench_operations,
-// bench_inphase, bench_health_check) used to produce, re-expressed as
-// self-contained runner scenarios.
+// binaries used to print, re-expressed as self-contained runner scenarios,
+// and the one family table (`bench_families`) that bench_suite derives its
+// registration, spec grid, golden routing, seed-sweep headlines and --help
+// text from. A new figure costs one scenario function and one row.
 //
 // Each scenario function receives one runner::RunSpec and builds everything
 // it touches — Testbed (own sim::EventLoop), meshes, fault plans, metrics
@@ -14,15 +14,17 @@
 // manually-built mesh derives its RNG from it with the same +1..+5 offsets
 // Testbed::build_* uses, so seed sweeps perturb all stochastic inputs
 // coherently. Seed 1 reproduces the committed BENCH_*.json base sections.
-// The ops_* families keep the RNG seeds of the binaries they replace at
-// seed 1 (e.g. ops_daily's 801/809/811/821/823 = 800 + seed + offset), so
-// higher seeds shift every RNG by the same amount.
+// Families that replace a figure binary (the ops_* families and the
+// paper-figure block below) keep that binary's RNG seeds at seed 1 (e.g.
+// ops_daily's 801/809/811/821/823 = 800 + seed + offset), so higher seeds
+// shift every RNG by the same amount.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -34,16 +36,26 @@
 #include "bench/harness.h"
 #include "bench/json_report.h"
 #include "bench/region.h"
+#include "canal/cost_model.h"
 #include "canal/fault_injector.h"
 #include "canal/health_aggregation.h"
+#include "canal/innocence.h"
 #include "canal/intervention.h"
 #include "canal/pattern_monitor.h"
+#include "canal/population.h"
 #include "canal/proxyless.h"
 #include "canal/scaling.h"
+#include "canal/sharding.h"
 #include "crypto/accelerator.h"
 #include "crypto/cert.h"
+#include "crypto/keyserver.h"
 #include "crypto/rotation.h"
 #include "k8s/propagation.h"
+#include "lb/aggregation.h"
+#include "lb/bucket_table.h"
+#include "net/vswitch.h"
+#include "proxy/cost_model.h"
+#include "proxy/nagle.h"
 #include "runner/run.h"
 #include "runner/runner.h"
 #include "runner/shard_exec.h"
@@ -2002,102 +2014,1408 @@ inline runner::RunResult ops_health_checks(const runner::RunSpec&) {
   return result;
 }
 
-}  // namespace scenarios
+// ===========================================================================
+// Paper-figure families. Each replaces one retired serial binary
+// (bench_<family>) and records every number that binary's tables printed,
+// at full precision where %.6g keeps the printed digits. Seed 1 keeps the
+// binary's RNG seeds; seed s adds `shift` = s - 1 to every one of them.
+// Testbeds take `spec.seed` directly, since the binaries used the default
+// seed 1. Paper bands the binaries printed next to their tables are
+// constants, not results: they live in EXPERIMENTS.md.
 
-/// Registers every suite scenario on `runner`.
-inline void register_bench_scenarios(runner::Runner& runner) {
-  runner.register_scenario("latency_light", scenarios::latency_light);
-  runner.register_scenario("latency_bimodal", scenarios::latency_bimodal);
-  runner.register_scenario("throughput_knee", scenarios::throughput_knee);
-  runner.register_scenario("faults_podkill", scenarios::faults_podkill);
-  runner.register_scenario("faults_gwcrash", scenarios::faults_gwcrash);
-  runner.register_scenario("faults_linkloss", scenarios::faults_linkloss);
-  runner.register_scenario("noisy_neighbor", scenarios::noisy_neighbor);
-  runner.register_scenario("resilience_retry_storm",
-                           scenarios::resilience_retry_storm);
-  runner.register_scenario("resilience_qod", scenarios::resilience_qod);
-  runner.register_scenario("resilience_ratelimit",
-                           scenarios::resilience_ratelimit);
-  runner.register_scenario("selfperf", scenarios::selfperf);
-  runner.register_scenario("region_scale", scenarios::region_scale);
-  runner.register_scenario("config_churn_storm",
-                           scenarios::config_churn_storm);
-  runner.register_scenario("cert_rotation_wave",
-                           scenarios::cert_rotation_wave);
-  runner.register_scenario("ops_surge_scaling", scenarios::ops_surge_scaling);
-  runner.register_scenario("ops_daily", scenarios::ops_daily);
-  runner.register_scenario("ops_inphase", scenarios::ops_inphase);
-  runner.register_scenario("ops_idle_expiry", scenarios::ops_idle_expiry);
-  runner.register_scenario("ops_scaling", scenarios::ops_scaling);
-  runner.register_scenario("ops_health_checks", scenarios::ops_health_checks);
+// ---------------------------------------------------------------------------
+// motivation — §2's population models. Table 1: sidecar CPU and memory per
+// production cluster. Table 2: config updates per minute by cluster size
+// (mean of 20 clusters). Table 3: L7 adoption by region. Fig 3: one
+// customer's sidecar count over 9 quarters.
+
+inline runner::RunResult motivation(const runner::RunSpec& spec) {
+  const std::uint64_t shift = spec.seed - 1;
+  runner::RunResult result;
+
+  sim::Rng table1_rng(401 + shift);
+  const std::pair<std::size_t, std::size_t> clusters[] = {
+      {500, 15000}, {200, 8000}, {100, 1000}, {60, 2000}, {60, 400}};
+  for (std::size_t c = 0; c < std::size(clusters); ++c) {
+    const auto [nodes, pods] = clusters[c];
+    const auto footprint = core::sidecar_footprint(nodes, pods, table1_rng);
+    const std::string prefix = row_prefix("table1.c", c + 1);
+    result.set(prefix + "nodes", static_cast<double>(nodes));
+    result.set(prefix + "pods", static_cast<double>(pods));
+    result.set(prefix + "cpu_cores", footprint.cpu_cores);
+    result.set(prefix + "cpu_share", footprint.cpu_fraction);
+    result.set(prefix + "memory_gb", footprint.memory_gb);
+    result.set(prefix + "memory_share", footprint.memory_fraction);
+  }
+
+  sim::Rng table2_rng(409 + shift);
+  for (const std::size_t pods : {300u, 900u, 2250u}) {
+    double sum = 0;
+    for (int i = 0; i < 20; ++i) {
+      sum += core::config_update_frequency_per_min(pods, table2_rng);
+    }
+    result.set(row_prefix("table2.pods", pods) + "updates_per_min", sum / 20);
+  }
+
+  const core::RegionProfile regions[] = {
+      {"Region1", 800, 0.95, 0.99, 0.31},
+      {"Region2", 700, 0.93, 0.99, 0.35},
+      {"Region3", 600, 0.90, 0.95, 0.30},
+      {"Region4", 500, 0.80, 0.90, 0.50},
+      {"Region5", 400, 0.88, 0.91, 0.60},
+  };
+  for (std::size_t r = 0; r < std::size(regions); ++r) {
+    const auto tenants =
+        core::PopulationGenerator(sim::Rng(421 + shift + regions[r].tenants))
+            .generate(regions[r]);
+    const auto adoption =
+        core::PopulationGenerator::summarize(regions[r].name, tenants);
+    const std::string prefix = row_prefix("table3.region", r + 1);
+    result.set(prefix + "l7", adoption.l7);
+    result.set(prefix + "l7_routing", adoption.l7_routing);
+    result.set(prefix + "l7_security", adoption.l7_security);
+  }
+
+  // Quarterly sidecar counts from 2020 Q1 through 2022 Q1.
+  sim::Rng fig3_rng(431 + shift);
+  const auto trace = core::sidecar_growth_trace(23000, 9, 1.09, fig3_rng);
+  for (std::size_t q = 0; q < trace.size(); ++q) {
+    std::string key = "fig3.";
+    key += std::to_string(2020 + q / 4);
+    key += 'q';
+    key += std::to_string(q % 4 + 1);
+    result.set(key, trace[q]);
+  }
+  result.set("fig3.growth", trace.back() / trace.front());
+  return result;
 }
 
-/// The full suite grid for seeds 1..K, one RunSpec per (scenario, variant,
-/// seed). Ordered longest-first so FIFO dispatch starts the critical-path
-/// runs (selfperf canal/proxyless, throughput sweeps) before the short
-/// tail.
-inline std::vector<runner::RunSpec> suite_specs(std::uint64_t seeds) {
-  std::vector<runner::RunSpec> specs;
-  const auto add = [&](std::string scenario, std::string variant,
-                       std::vector<std::pair<std::string, double>>
-                           overrides = {}) {
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      specs.push_back(runner::RunSpec{scenario, variant, seed, overrides});
-    }
+// ---------------------------------------------------------------------------
+// sidecar_util — Fig 2: sidecar CPU utilization vs end-to-end latency.
+// Istio with 2-core sidecar pools (4 cores in all) driven at a target
+// utilization (~2.9 ms of sidecar CPU per request) for 3 s.
+
+inline runner::RunResult sidecar_util(const runner::RunSpec& spec) {
+  runner::RunResult result;
+  double idle_latency = 0.0;
+  for (const double target_util : {0.1, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95}) {
+    Testbed::Options options;
+    options.app_service_time = sim::microseconds(100);
+    options.node_cores = 64;
+    options.seed = spec.seed;
+    Testbed bed(options);
+    mesh::IstioMesh::Config config;
+    config.sidecar_cores_per_node = 2;
+    bed.istio = std::make_unique<mesh::IstioMesh>(
+        bed.loop, bed.cluster, config, sim::Rng(20 + spec.seed));
+    bed.istio->install();
+
+    const double rps = target_util * 4.0 / 2.9e-3;
+    const LoadResult load =
+        drive_open_loop(bed, *bed.istio, rps, sim::seconds(3), false);
+    const double mean_us = load.latency_us.mean();
+    if (idle_latency == 0.0) idle_latency = mean_us;
+    const std::string prefix = row_prefix(
+        "fig2.util", static_cast<std::size_t>(std::lround(target_util * 100)));
+    result.set(prefix + "measured_util", load.user_cores() / 4.0);
+    // Whole microseconds, as the figure reads them: past 1 s a %.6g golden
+    // would drop the last printed digit.
+    result.set(prefix + "mean_us", std::round(mean_us));
+    result.set(prefix + "p99_us", std::round(load.latency_us.percentile(99)));
+    result.set(prefix + "vs_idle", mean_us / idle_latency);
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// resource — Fig 5/13: mesh CPU cores in the user cluster under growing
+// load, Istio vs Ambient vs Canal (plus Canal's cloud-side total), and
+// the Istio/Canal and Ambient/Canal ratios with their range.
+
+inline runner::RunResult resource(const runner::RunSpec& spec) {
+  Testbed::Options options;
+  options.app_service_time = sim::microseconds(100);
+  options.node_cores = 64;
+  options.seed = spec.seed;
+  Testbed bed(options);
+  bed.build_all();
+
+  runner::RunResult result;
+  double min_istio_ratio = 1e9, max_istio_ratio = 0;
+  double min_ambient_ratio = 1e9, max_ambient_ratio = 0;
+  for (const double rps : {100.0, 200.0, 300.0, 400.0}) {
+    const LoadResult istio =
+        drive_open_loop(bed, *bed.istio, rps, sim::seconds(3), false);
+    const LoadResult ambient =
+        drive_open_loop(bed, *bed.ambient, rps, sim::seconds(3), false);
+    const LoadResult canal =
+        drive_open_loop(bed, *bed.canal, rps, sim::seconds(3), false);
+    const double istio_ratio = istio.user_cores() / canal.user_cores();
+    const double ambient_ratio = ambient.user_cores() / canal.user_cores();
+    min_istio_ratio = std::min(min_istio_ratio, istio_ratio);
+    max_istio_ratio = std::max(max_istio_ratio, istio_ratio);
+    min_ambient_ratio = std::min(min_ambient_ratio, ambient_ratio);
+    max_ambient_ratio = std::max(max_ambient_ratio, ambient_ratio);
+    const std::string prefix =
+        row_prefix("fig13.rps", static_cast<std::size_t>(rps));
+    result.set(prefix + "istio_cores", istio.user_cores());
+    result.set(prefix + "ambient_cores", ambient.user_cores());
+    result.set(prefix + "canal_cores", canal.user_cores());
+    result.set(prefix + "canal_total_cores", canal.total_cores());
+    result.set(prefix + "istio_over_canal", istio_ratio);
+    result.set(prefix + "ambient_over_canal", ambient_ratio);
+  }
+  result.set("fig13.istio_over_canal_min", min_istio_ratio);
+  result.set("fig13.istio_over_canal_max", max_istio_ratio);
+  result.set("fig13.ambient_over_canal_min", min_ambient_ratio);
+  result.set("fig13.ambient_over_canal_max", max_ambient_ratio);
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// cost — Table 5: deployment cost saved by embedded redirectors (LB
+// disaggregation), tunneling (session aggregation) and both, per region.
+// Region shapes are estimated from the table's per-region savings: the LB
+// fleet share sets the redirector saving, the session-bound VM excess the
+// tunneling saving. Pure arithmetic: one run.
+
+inline runner::RunResult cost(const runner::RunSpec&) {
+  struct Region {
+    double lb_cost;
+    double sessions;
+    double cpu_vms;
   };
-  // Region runs once at a fixed seed (not per-seed): it is the suite's
-  // single longest run by an order of magnitude, and its determinism story
-  // is shards/jobs-invariance at one operating point, not a seed sweep.
-  // First in the list so FIFO dispatch starts the critical path
-  // immediately.
-  specs.push_back(runner::RunSpec{"region_scale", "canal", 1, {}});
-  for (const char* dp :
-       {"canal", "proxyless", "ambient", "istio", "nomesh"}) {
-    add("selfperf", dp);
+  const Region regions[] = {{47.5, 1.3125e8, 507.5},
+                            {45.1, 1.3725e8, 240.0},
+                            {32.1, 1.6975e8, 857.5},
+                            {36.7, 1.5825e8, 670.0}};
+  runner::RunResult result;
+  for (std::size_t r = 0; r < std::size(regions); ++r) {
+    core::RegionCostProfile profile;
+    profile.services = 1000;
+    profile.azs = 3;
+    profile.lb_vm_monthly_cost = regions[r].lb_cost;
+    profile.total_sessions = regions[r].sessions;
+    profile.cpu_replica_vms = regions[r].cpu_vms;
+    const auto costs = core::compute_region_costs(profile);
+    const std::string prefix = row_prefix("table5.region", r + 1);
+    result.set(prefix + "redirector", costs.redirector_saving());
+    result.set(prefix + "tunneling", costs.tunneling_saving());
+    result.set(prefix + "combined", costs.combined_saving());
   }
-  for (const char* dp : {"canal", "ambient", "istio"}) {
-    add("throughput_knee", dp);
+  return result;
+}
+
+namespace detail {
+
+enum class OffloadMode { kNone, kLocalAccel, kRemoteKeyServer };
+
+/// HTTPS short-flow load through one on-node proxy of `cores` with the
+/// chosen asymmetric-crypto path, for `seconds` of offered load.
+struct CryptoRun {
+  double p90_us = 0;
+  double proxy_cores = 0;
+  std::uint64_t completed = 0;
+};
+
+inline CryptoRun run_https_load(OffloadMode mode, double rps, double seconds,
+                                std::uint64_t shift, std::size_t cores = 2,
+                                double resumption_fraction = 0.0) {
+  sim::EventLoop loop;
+  sim::CpuSet proxy_cpu(loop, cores);
+  crypto::CryptoCostModel model;
+  crypto::AsymmetricAccelerator local_soft(loop, proxy_cpu,
+                                           crypto::AccelMode::kSoftware,
+                                           model);
+  crypto::AsymmetricAccelerator local_accel(loop, proxy_cpu,
+                                            crypto::AccelMode::kBatched,
+                                            model);
+  crypto::KeyServer key_server(loop, static_cast<net::AzId>(0), 16,
+                               sim::Rng(11 + shift), model);
+  key_server.establish_channel("bench");
+  key_server.store_private_key("spiffe://t/bench", 0x5EED);
+  sim::CpuSet client_fallback(loop, 1);
+  crypto::KeyServerClient::Config client_config;
+  client_config.requester_id = "bench";
+  client_config.model = model;
+  crypto::KeyServerClient client(loop, client_fallback, client_config,
+                                 sim::Rng(12 + shift));
+  client.attach_server(&key_server);
+
+  // Keep the key server's batches warm, as production consolidation does.
+  sim::PeriodicTimer background(loop, sim::microseconds(200), [&] {
+    key_server.handle_sign("bench", "spiffe://t/bench", "bg", [](auto) {});
+  });
+  if (mode == OffloadMode::kRemoteKeyServer) background.start();
+
+  CryptoRun result;
+  sim::Histogram latency;
+  std::uint64_t flow_counter = 0;
+  const auto spacing =
+      static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / rps);
+  const auto count = static_cast<std::uint64_t>(rps * seconds);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    loop.post_at(static_cast<sim::Duration>(i) * spacing, [&] {
+      const sim::TimePoint start = loop.now();
+      const bool resumed =
+          resumption_fraction > 0.0 &&
+          (static_cast<double>(flow_counter++ % 100) <
+           resumption_fraction * 100.0);
+      // Each HTTPS short flow: one asymmetric handshake + ~1.2ms of TLS
+      // session setup, symmetric record crypto, L4 proxying and teardown.
+      auto finish = [&, start, deadline = static_cast<sim::TimePoint>(
+                                    seconds *
+                                    static_cast<double>(sim::kSecond))] {
+        proxy_cpu.execute(
+            sim::microseconds(1200) + model.symmetric_cost(4096),
+            [&, start, deadline] {
+              // Only flows completing within the measurement window count
+              // toward throughput (goodput under overload).
+              if (loop.now() <= deadline) {
+                latency.record(sim::to_microseconds(loop.now() - start));
+                ++result.completed;
+              }
+            });
+      };
+      if (resumed) {
+        // TLS session resumption: no asymmetric work at all.
+        finish();
+        return;
+      }
+      switch (mode) {
+        case OffloadMode::kNone:
+          local_soft.submit(finish);
+          break;
+        case OffloadMode::kLocalAccel:
+          local_accel.submit(finish);
+          break;
+        case OffloadMode::kRemoteKeyServer:
+          client.sign("spiffe://t/bench", "hs", [finish](auto) { finish(); });
+          break;
+      }
+    });
   }
-  for (const char* dp : {"canal", "ambient", "istio"}) {
-    add("noisy_neighbor", dp);
+  loop.run_until(static_cast<sim::Duration>(seconds * 1.5 *
+                                            static_cast<double>(sim::kSecond)));
+  background.stop();
+  loop.run();
+  result.p90_us = latency.percentile(90);
+  result.proxy_cores = proxy_cpu.total_busy_core_seconds() / (seconds * 1.5);
+  return result;
+}
+
+/// Mean completion time (ms) of 400 asymmetric operations at `rps` on an
+/// 8-core CPU, by offload mode.
+inline double asym_completion_ms(OffloadMode mode, double rps,
+                                 std::uint64_t shift) {
+  sim::EventLoop loop;
+  sim::CpuSet cpu(loop, 8);
+  crypto::CryptoCostModel model;
+  crypto::AsymmetricAccelerator accel(
+      loop, cpu,
+      mode == OffloadMode::kNone ? crypto::AccelMode::kSoftware
+                                 : crypto::AccelMode::kBatched,
+      model);
+  crypto::KeyServer ks(loop, static_cast<net::AzId>(0), 16,
+                       sim::Rng(13 + shift), model);
+  ks.establish_channel("b");
+  ks.store_private_key("id", 7);
+  sim::CpuSet fallback(loop, 1);
+  crypto::KeyServerClient::Config cc;
+  cc.requester_id = "b";
+  cc.model = model;
+  crypto::KeyServerClient client(loop, fallback, cc, sim::Rng(14 + shift));
+  client.attach_server(&ks);
+  // Key server sees aggregate load from many tenants: keep it warm.
+  sim::PeriodicTimer background(loop, sim::microseconds(150), [&] {
+    ks.handle_sign("b", "id", "bg", [](auto) {});
+  });
+  if (mode == OffloadMode::kRemoteKeyServer) background.start();
+
+  sim::Histogram latency;
+  const auto spacing =
+      static_cast<sim::Duration>(static_cast<double>(sim::kSecond) / rps);
+  for (int i = 0; i < 400; ++i) {
+    loop.post_at(static_cast<sim::Duration>(i) * spacing, [&] {
+      const sim::TimePoint start = loop.now();
+      auto record = [&, start] {
+        latency.record(sim::to_microseconds(loop.now() - start));
+      };
+      if (mode == OffloadMode::kRemoteKeyServer) {
+        client.sign("id", "t", [record](auto) { record(); });
+      } else {
+        accel.submit(record);
+      }
+    });
   }
-  for (const char* dp : {"canal", "ambient", "istio"}) {
-    add("config_churn_storm", dp);
+  loop.run_until(sim::seconds(5));
+  background.stop();
+  loop.run();
+  return latency.mean() / 1000.0;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// crypto — crypto offloading. Fig 12: on-node proxy CPU saved by local
+// AVX-512 and by the remote key server. Fig 23: asymmetric-op completion
+// time by mode. Fig 25: AVX-512 batch latency vs concurrent new
+// connections (stalls below a batch of 8). Fig 27/28: HTTPS short-flow
+// goodput and P90 latency with and without offloading, half the flows
+// resuming TLS sessions.
+
+inline runner::RunResult crypto(const runner::RunSpec& spec) {
+  using detail::OffloadMode;
+  const std::uint64_t shift = spec.seed - 1;
+  runner::RunResult result;
+
+  for (const double rps : {200.0, 400.0, 600.0}) {
+    const auto none = detail::run_https_load(OffloadMode::kNone, rps, 3.0,
+                                             shift);
+    const auto local = detail::run_https_load(OffloadMode::kLocalAccel, rps,
+                                              3.0, shift);
+    const auto remote = detail::run_https_load(
+        OffloadMode::kRemoteKeyServer, rps, 3.0, shift);
+    const std::string prefix =
+        row_prefix("fig12.rps", static_cast<std::size_t>(rps));
+    result.set(prefix + "none_cores", none.proxy_cores);
+    result.set(prefix + "local_cores", local.proxy_cores);
+    result.set(prefix + "remote_cores", remote.proxy_cores);
+    result.set(prefix + "local_saving",
+               1.0 - local.proxy_cores / none.proxy_cores);
+    result.set(prefix + "remote_saving",
+               1.0 - remote.proxy_cores / none.proxy_cores);
   }
-  for (const char* dp : {"canal", "istio"}) {
-    add("cert_rotation_wave", dp);
+
+  for (const double rps : {100.0, 500.0, 2000.0}) {
+    const std::string prefix =
+        row_prefix("fig23.rps", static_cast<std::size_t>(rps));
+    result.set(prefix + "software_ms",
+               detail::asym_completion_ms(OffloadMode::kNone, rps, shift));
+    result.set(prefix + "local_ms", detail::asym_completion_ms(
+                                        OffloadMode::kLocalAccel, rps, shift));
+    result.set(prefix + "remote_ms",
+               detail::asym_completion_ms(OffloadMode::kRemoteKeyServer, rps,
+                                          shift));
   }
-  add("resilience_retry_storm", "breaker-off", {{"breaker", 0}});
-  add("resilience_retry_storm", "breaker-on", {{"breaker", 1}});
-  add("resilience_qod", "ejection-off", {{"ejection", 0}});
-  add("resilience_qod", "ejection-on", {{"ejection", 1}});
-  add("resilience_ratelimit", "limit-off", {{"limit", 0}});
-  add("resilience_ratelimit", "limit-on", {{"limit", 1}});
-  add("faults_podkill", "nomesh-retry", {{"retries", 1}});
-  for (const char* dp : {"istio", "ambient", "canal"}) {
-    add("faults_podkill", dp, {{"retries", 0}});
-    add("faults_podkill", std::string(dp) + "-retry", {{"retries", 1}});
+
+  for (const std::size_t concurrent : {1u, 2u, 4u, 7u, 8u, 16u, 32u}) {
+    sim::EventLoop loop;
+    sim::CpuSet cpu(loop, 8);
+    crypto::CryptoCostModel model;
+    crypto::AsymmetricAccelerator accel(loop, cpu,
+                                        crypto::AccelMode::kBatched, model);
+    for (std::size_t i = 0; i < concurrent; ++i) accel.submit([] {});
+    loop.run();
+    result.set(row_prefix("fig25.conns", concurrent) + "handshake_us",
+               accel.op_latency_us().mean());
   }
-  add("faults_gwcrash", "monitor-off", {{"monitor", 0}, {"retries", 0}});
-  add("faults_gwcrash", "monitor-on", {{"monitor", 1}, {"retries", 0}});
-  add("faults_gwcrash", "monitor-on-retry",
-      {{"monitor", 1}, {"retries", 1}});
-  add("faults_linkloss", "noretry", {{"retries", 0}});
-  add("faults_linkloss", "retry", {{"retries", 1}});
-  add("latency_bimodal", "canal");
-  for (const char* dp : {"no-mesh", "canal", "ambient", "istio"}) {
-    add("latency_light", dp);
+
+  // Fig 27: offered load sized to the offloaded path's capacity, so the
+  // software path saturates. Fig 28: near the software path's saturation,
+  // where its queueing delay balloons.
+  for (const std::size_t cores : {1u, 2u, 4u}) {
+    const double rps = 750.0 * static_cast<double>(cores);
+    const auto none = detail::run_https_load(OffloadMode::kNone, rps, 3.0,
+                                             shift, cores, 0.5);
+    const auto remote = detail::run_https_load(
+        OffloadMode::kRemoteKeyServer, rps, 3.0, shift, cores, 0.5);
+    const std::string prefix = row_prefix("fig27.cores", cores);
+    result.set(prefix + "offered_rps", rps);
+    result.set(prefix + "none_done", static_cast<double>(none.completed));
+    result.set(prefix + "remote_done", static_cast<double>(remote.completed));
+    result.set(prefix + "gain", static_cast<double>(remote.completed) /
+                                    static_cast<double>(none.completed));
   }
-  add("ops_surge_scaling", "canal");
-  add("ops_daily", "canal");
-  add("ops_inphase", "canal");
-  add("ops_idle_expiry", "canal");
-  // Seed 1 only, like region_scale: at seed 3 the month's scaler keeps
-  // provisioning while its earlier New backends are still booting (1144
-  // decisions against seed 1's 116), and that run alone takes ~35 s.
-  specs.push_back(runner::RunSpec{"ops_scaling", "canal", 1, {}});
-  // Pure arithmetic over fixed topologies: no RNG, so one run.
-  specs.push_back(runner::RunSpec{"ops_health_checks", "canal", 1, {}});
+  for (const std::size_t cores : {1u, 2u, 4u}) {
+    const double rps = 330.0 * static_cast<double>(cores);
+    const auto none = detail::run_https_load(OffloadMode::kNone, rps, 3.0,
+                                             shift, cores, 0.5);
+    const auto remote = detail::run_https_load(
+        OffloadMode::kRemoteKeyServer, rps, 3.0, shift, cores, 0.5);
+    const std::string prefix = row_prefix("fig28.cores", cores);
+    result.set(prefix + "offered_rps", rps);
+    result.set(prefix + "none_p90_ms", none.p90_us / 1000.0);
+    result.set(prefix + "remote_p90_ms", remote.p90_us / 1000.0);
+    result.set(prefix + "latency_cut", 1.0 - remote.p90_us / none.p90_us);
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// special_modes — Appendix B's deployment modes and §6.4. Proxyless vs
+// on-node-proxy Canal: mean latency and user CPU per request of 200
+// new-connection requests. Keyless mode: new-connection latency when the
+// signer is the in-AZ key server or sits in the customer's IDC. Innocence
+// probing: success and mean latency per probe destination over the
+// full-mesh protocol/AZ matrix, and the infrastructure verdict.
+
+inline runner::RunResult special_modes(const runner::RunSpec& spec) {
+  const std::uint64_t shift = spec.seed - 1;
+  runner::RunResult result;
+  Testbed::Options default_options;
+  default_options.seed = spec.seed;
+
+  // 200 new-connection requests 10 ms apart; returns the mean latency and
+  // the successful count.
+  const auto drive = [](Testbed& bed, mesh::MeshDataplane& mesh) {
+    sim::Histogram latency;
+    int n = 0;
+    for (int i = 0; i < 200; ++i) {
+      bed.loop.post_at(i * sim::milliseconds(10), [&] {
+        mesh.send_request(bed.request(true), [&](mesh::RequestResult r) {
+          if (r.ok()) {
+            latency.record(sim::to_microseconds(r.latency));
+            ++n;
+          }
+        });
+      });
+    }
+    bed.loop.run();
+    return std::pair<double, int>{latency.mean(), n};
+  };
+  {
+    Testbed bed(default_options);
+    bed.build_canal();
+    const double cpu_before = bed.canal->user_cpu_core_seconds();
+    const auto [mean_us, n] = drive(bed, *bed.canal);
+    result.set("proxyless.canal.mean_us", mean_us);
+    result.set("proxyless.canal.user_cpu_per_req_us",
+               (bed.canal->user_cpu_core_seconds() - cpu_before) / n * 1e6);
+  }
+  for (const bool user_certs : {true, false}) {
+    Testbed bed(default_options);
+    bed.gateway = std::make_unique<core::MeshGateway>(
+        bed.loop, core::GatewayConfig{}, sim::Rng(51 + shift));
+    bed.gateway->add_az(2);
+    core::ProxylessMesh::Config config;
+    config.user_managed_certs = user_certs;
+    config.eni.max_enis_per_node = 64;
+    core::ProxylessMesh proxyless(bed.loop, bed.cluster, *bed.gateway, config,
+                                  sim::Rng(53 + shift));
+    proxyless.install();
+    const auto [mean_us, n] = drive(bed, proxyless);
+    const std::string prefix =
+        user_certs ? "proxyless.user_certs." : "proxyless.gateway_tls.";
+    result.set(prefix + "mean_us", mean_us);
+    result.set(prefix + "user_cpu_per_req_us",
+               proxyless.user_cpu_core_seconds() / n * 1e6);
+  }
+
+  struct KeylessMode {
+    const char* name;
+    sim::Duration one_way;
+  };
+  const KeylessMode modes[] = {
+      {"in_az", sim::microseconds(350)},
+      {"idc_same_region", sim::milliseconds(2)},
+      {"idc_cross_region", sim::milliseconds(15)},
+  };
+  for (const KeylessMode& mode : modes) {
+    Testbed::Options options = default_options;
+    options.app_service_time = sim::microseconds(100);
+    Testbed bed(options);
+    core::GatewayConfig gateway_config;
+    gateway_config.replica_costs.crypto.key_server_one_way = mode.one_way;
+    bed.gateway = std::make_unique<core::MeshGateway>(
+        bed.loop, gateway_config, sim::Rng(61 + shift));
+    bed.gateway->add_az(2);
+    bed.key_server = std::make_unique<crypto::KeyServer>(
+        bed.loop, static_cast<net::AzId>(0), 8, sim::Rng(63 + shift));
+    core::CanalMesh::Config mesh_config;
+    mesh_config.onnode.costs.crypto.key_server_one_way = mode.one_way;
+    bed.canal = std::make_unique<core::CanalMesh>(
+        bed.loop, bed.cluster, *bed.gateway, mesh_config,
+        sim::Rng(67 + shift));
+    bed.canal->install();
+    bed.canal->attach_key_server(static_cast<net::AzId>(0),
+                                 bed.key_server.get());
+    sim::Histogram latency;
+    for (int i = 0; i < 100; ++i) {
+      bed.loop.post_at(i * sim::milliseconds(10), [&] {
+        bed.canal->send_request(bed.request(true),
+                                [&](mesh::RequestResult r) {
+          if (r.ok()) latency.record(sim::to_microseconds(r.latency));
+        });
+      });
+    }
+    bed.loop.run();
+    std::string prefix = "keyless.";
+    prefix += mode.name;
+    prefix += '.';
+    result.set(prefix + "one_way_us", sim::to_microseconds(mode.one_way));
+    result.set(prefix + "latency_ms", latency.mean() / 1000.0);
+  }
+
+  Testbed::Options options = default_options;
+  options.app_service_time = sim::milliseconds(1);
+  Testbed bed(options);
+  bed.gateway = std::make_unique<core::MeshGateway>(
+      bed.loop, core::GatewayConfig{}, sim::Rng(71 + shift));
+  bed.gateway->add_az(2);
+  bed.gateway->add_az(2);
+  bed.canal = std::make_unique<core::CanalMesh>(
+      bed.loop, bed.cluster, *bed.gateway, core::CanalMesh::Config{},
+      sim::Rng(73 + shift));
+  bed.canal->install();
+  bed.key_server = std::make_unique<crypto::KeyServer>(
+      bed.loop, static_cast<net::AzId>(0), 8, sim::Rng(79 + shift));
+  bed.canal->attach_key_server(static_cast<net::AzId>(0),
+                               bed.key_server.get());
+  bed.canal->attach_key_server(static_cast<net::AzId>(1),
+                               bed.key_server.get());
+  core::InnocenceProber::Config config;
+  config.probe_interval = sim::seconds(5);
+  core::InnocenceProber prober(bed.loop, *bed.canal, bed.cluster, config);
+  prober.deploy({static_cast<net::AzId>(0), static_cast<net::AzId>(1)});
+  prober.start();
+  bed.loop.run_until(bed.loop.now() + sim::minutes(2));
+  prober.stop();
+  bed.loop.run_until(bed.loop.now() + sim::seconds(5));
+
+  const auto& instances = prober.instances();
+  for (std::size_t dst = 0; dst < instances.size(); ++dst) {
+    std::uint64_t ok = 0, failed = 0;
+    double latency_sum = 0;
+    std::size_t cells = 0;
+    for (std::size_t src = 0; src < instances.size(); ++src) {
+      if (src == dst) continue;
+      const auto it = prober.matrix().find({src, dst});
+      if (it == prober.matrix().end()) continue;
+      ok += it->second.ok;
+      failed += it->second.failed;
+      latency_sum += it->second.latency_us.mean();
+      ++cells;
+    }
+    std::string prefix = "innocence.";
+    prefix += core::probe_protocol_name(instances[dst].protocol);
+    prefix += row_prefix(".az", net::id_value(instances[dst].az));
+    result.set(prefix + "success",
+               ok == 0 ? 0.0
+                       : static_cast<double>(ok) /
+                             static_cast<double>(ok + failed));
+    result.set(prefix + "mean_us",
+               cells == 0 ? 0.0 : latency_sum / static_cast<double>(cells));
+  }
+  result.set("innocence.infra_innocent", prober.infra_innocent() ? 1 : 0);
+  result.set("innocence.probe_pairs",
+             static_cast<double>(prober.matrix().size()));
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// sharding — Fig 19: the 3-of-12 shuffle-shard backend combination of each
+// of 12 top services, whether it is isolated, the largest pairwise
+// overlap, and how many other services keep a live backend when every
+// backend of service 1 dies.
+
+inline runner::RunResult sharding(const runner::RunSpec& spec) {
+  core::ShuffleShardAssigner assigner(3, sim::Rng(700 + spec.seed));
+  std::vector<net::BackendId> pool;
+  for (std::uint32_t i = 1; i <= 12; ++i) {
+    pool.push_back(static_cast<net::BackendId>(i));
+  }
+  assigner.set_pool(pool);
+
+  runner::RunResult result;
+  constexpr std::size_t kTopServices = 12;
+  for (std::size_t s = 1; s <= kTopServices; ++s) {
+    const auto service = static_cast<net::ServiceId>(s);
+    const auto combination = assigner.assign(service);
+    const std::string prefix = row_prefix("fig19.service", s);
+    for (std::size_t b = 0; b < combination->size(); ++b) {
+      result.set(prefix + "backend" + std::to_string(b),
+                 static_cast<double>(net::id_value((*combination)[b])));
+    }
+    result.set(prefix + "isolated", assigner.isolated(service) ? 1 : 0);
+  }
+  result.set("fig19.max_overlap",
+             static_cast<double>(assigner.max_pairwise_overlap()));
+
+  const auto& dead = *assigner.assignment_of(static_cast<net::ServiceId>(1));
+  std::size_t survivors = 0;
+  for (std::size_t s = 2; s <= kTopServices; ++s) {
+    const auto& mine =
+        *assigner.assignment_of(static_cast<net::ServiceId>(s));
+    const bool alive = std::any_of(mine.begin(), mine.end(), [&](auto b) {
+      return std::find(dead.begin(), dead.end(), b) == dead.end();
+    });
+    if (alive) ++survivors;
+  }
+  result.set("fig19.survivors", static_cast<double>(survivors));
+  result.set("fig19.other_services", static_cast<double>(kTopServices - 1));
+  return result;
+}
+
+namespace detail {
+
+/// The i-th synthetic client flow towards one VIP (Fig 26 and session
+/// aggregation).
+inline net::FiveTuple vip_flow(std::uint32_t i) {
+  return net::FiveTuple{
+      net::Ipv4Addr(10, static_cast<std::uint8_t>(i >> 16),
+                    static_cast<std::uint8_t>(i >> 8),
+                    static_cast<std::uint8_t>(i)),
+      net::Ipv4Addr(100, 64, 0, 1), static_cast<std::uint16_t>(i * 7 + 1),
+      443, net::Protocol::kTcp};
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// lb — LB disaggregation mechanics. Fig 26: 20k flows through a 4-replica
+// bucket table while replica 2 drains and replica 5 joins — the share of
+// established flows that keep their replica, new flows landing on the
+// drainer, and chain redirections per packet. Session aggregation: 200k
+// inner sessions collapse into 40 NIC tunnel sessions, and the largest
+// tunnel's load share. No RNG: one run.
+
+inline runner::RunResult lb(const runner::RunSpec&) {
+  using detail::vip_flow;
+  runner::RunResult result;
+  constexpr std::uint32_t kFlows = 20000;
+  lb::BucketTable table(1024, 4);
+  std::vector<net::ReplicaId> replicas;
+  for (std::uint32_t r = 1; r <= 4; ++r) {
+    replicas.push_back(static_cast<net::ReplicaId>(r));
+  }
+  table.assign_round_robin(replicas);
+  const lb::Redirector redirector(table);
+  const auto stateless = [](net::ReplicaId, const net::FiveTuple&) {
+    return false;
+  };
+
+  std::vector<net::ReplicaId> owner(kFlows);
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    owner[i] = redirector.resolve(vip_flow(i), true, stateless)->target;
+  }
+  // Scale-in: replica 2 prepares to go offline; then scale-out replica 5.
+  table.prepare_offline(static_cast<net::ReplicaId>(2),
+                        {static_cast<net::ReplicaId>(1),
+                         static_cast<net::ReplicaId>(3),
+                         static_cast<net::ReplicaId>(4)});
+  table.add_replica(static_cast<net::ReplicaId>(5), 256);
+
+  std::uint64_t consistent = 0;
+  sim::Histogram redirections;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    const auto decision = redirector.resolve(
+        vip_flow(i), false,
+        [&](net::ReplicaId replica, const net::FiveTuple& tuple) {
+          return owner[i] == replica && vip_flow(i) == tuple;
+        });
+    if (decision && decision->target == owner[i]) ++consistent;
+    if (decision) {
+      redirections.record(static_cast<double>(decision->redirections));
+    }
+  }
+  // New flows after the events must avoid the leaving replica.
+  std::uint64_t new_on_leaving = 0;
+  for (std::uint32_t i = kFlows; i < 2 * kFlows; ++i) {
+    if (redirector.resolve(vip_flow(i), true, stateless)->target ==
+        static_cast<net::ReplicaId>(2)) {
+      ++new_on_leaving;
+    }
+  }
+  result.set("fig26.consistent",
+             static_cast<double>(consistent) / static_cast<double>(kFlows));
+  result.set("fig26.new_on_draining", static_cast<double>(new_on_leaving));
+  result.set("fig26.redirections_mean", redirections.mean());
+  result.set("fig26.redirections_p99", redirections.percentile(99));
+
+  lb::SessionAggregator::Config config;
+  config.router_ip = net::Ipv4Addr(100, 64, 0, 1);
+  config.tunnels_per_replica = 40;  // 10x a 4-core replica
+  const lb::SessionAggregator aggregator(config);
+  const net::Ipv4Addr replica(172, 16, 0, 1);
+  lb::NicSessionCounter counter;
+  std::map<std::uint16_t, std::uint64_t> per_tunnel;
+  for (std::uint32_t i = 0; i < 200000; ++i) {
+    const auto outer = aggregator.outer_tuple(vip_flow(i), replica);
+    counter.observe(vip_flow(i), outer);
+    ++per_tunnel[outer.src_port];
+  }
+  double max_share = 0;
+  for (const auto& [port, count] : per_tunnel) {
+    max_share = std::max(max_share, static_cast<double>(count) / 200000.0);
+  }
+  result.set("aggregation.inner_sessions",
+             static_cast<double>(counter.inner_sessions()));
+  result.set("aggregation.tunnel_sessions",
+             static_cast<double>(counter.tunnel_sessions()));
+  result.set("aggregation.reduction",
+             static_cast<double>(counter.inner_sessions()) /
+                 static_cast<double>(counter.tunnel_sessions()));
+  result.set("aggregation.max_tunnel_share", max_share);
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// redirection — traffic redirection into the on-node proxy. Fig 21/22:
+// 16-byte writes at 4k/s — segments (one context switch each) and
+// redirect CPU for iptables (kernel Nagle), raw eBPF, and eBPF with the
+// in-proxy Nagle aggregator. Fig 29/30: eBPF vs iptables redirection CPU,
+// throughput gain and latency cut by payload size. Cost-model arithmetic
+// and a deterministic Nagle buffer: one run.
+
+inline runner::RunResult redirection(const runner::RunSpec&) {
+  runner::RunResult result;
+  const proxy::ProxyCostModel costs;
+
+  constexpr double kWriteRps = 4000.0;
+  constexpr std::uint64_t kWriteBytes = 16;
+  const auto count_segments = [&](bool use_nagle) {
+    sim::EventLoop loop;
+    std::uint64_t segments = 0;
+    proxy::NagleBuffer nagle(loop, costs.mss_bytes, sim::milliseconds(1),
+                             [&](std::uint64_t, std::uint32_t) {
+                               ++segments;
+                             });
+    const auto writes = static_cast<std::uint64_t>(kWriteRps);  // 1 s
+    for (std::uint64_t i = 0; i < writes; ++i) {
+      loop.post_at(
+          static_cast<sim::Duration>(i) *
+              static_cast<sim::Duration>(sim::kSecond / kWriteRps),
+          [&] {
+            if (use_nagle) {
+              nagle.write(kWriteBytes);
+            } else {
+              ++segments;  // every write is its own segment
+            }
+          });
+    }
+    loop.run();
+    return segments;
+  };
+  const std::uint64_t raw_segments = count_segments(false);
+  const std::uint64_t nagle_segments = count_segments(true);
+  const auto fig22_row = [&](const char* name, proxy::RedirectMode mode,
+                             std::uint64_t segments) {
+    // One context switch per segment crossing into the proxy.
+    std::string prefix = "fig22.";
+    prefix += name;
+    result.set(prefix + ".segments", static_cast<double>(segments));
+    result.set(prefix + ".redirect_cpu_us",
+               sim::to_microseconds(costs.redirect_cost(
+                   mode, static_cast<std::uint64_t>(kWriteRps * kWriteBytes),
+                   segments)));
+  };
+  fig22_row("iptables", proxy::RedirectMode::kIptables, nagle_segments);
+  fig22_row("ebpf_raw", proxy::RedirectMode::kEbpf, raw_segments);
+  fig22_row("ebpf_nagle", proxy::RedirectMode::kEbpf, nagle_segments);
+  result.set("fig22.raw_over_nagle", static_cast<double>(raw_segments) /
+                                         static_cast<double>(nagle_segments));
+
+  for (const std::uint64_t bytes : {64u, 500u, 1500u, 4096u, 16384u}) {
+    const std::uint64_t segments = bytes / costs.mss_bytes + 1;
+    const double iptables_us = sim::to_microseconds(
+        costs.redirect_cost(proxy::RedirectMode::kIptables, bytes, segments));
+    double ebpf_us = sim::to_microseconds(
+        costs.redirect_cost(proxy::RedirectMode::kEbpf, bytes, segments));
+    // Sub-MSS payloads must be aggregated in the proxy before eBPF
+    // redirection (§4.1.2); each buffered write costs a small copy. The
+    // kernel path gets Nagle for free — this is why the paper's gain is
+    // smaller for small packets.
+    if (bytes < costs.mss_bytes) {
+      const double writes_per_segment =
+          static_cast<double>(costs.mss_bytes) / static_cast<double>(bytes);
+      ebpf_us += writes_per_segment * 0.5;
+    }
+    // Work both paths pay regardless of redirection: the app's own kernel
+    // egress + the proxy's forward + the copy of each segment.
+    const double common_us = sim::to_microseconds(
+        static_cast<sim::Duration>(segments) *
+            (2 * costs.kernel_pass + costs.l4_forward) +
+        costs.memcpy_cost(bytes));
+    // Serialized path delay: redirection plus one unavoidable kernel pass.
+    const double kernel_us = sim::to_microseconds(
+        static_cast<sim::Duration>(segments) * costs.kernel_pass);
+    const std::string prefix = row_prefix("fig29.bytes", bytes);
+    result.set(prefix + "iptables_cpu_us", iptables_us + common_us);
+    result.set(prefix + "ebpf_cpu_us", ebpf_us + common_us);
+    result.set(prefix + "throughput_gain",
+               (iptables_us + common_us) / (ebpf_us + common_us));
+    result.set(prefix + "latency_cut",
+               1.0 - (ebpf_us + kernel_us) / (iptables_us + kernel_us));
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// ablation — Canal's design choices, one at a time (DESIGN.md §6).
+// A1: shuffle sharding vs fixed backend groups, services fully lost with
+// service 0's backends. A2: bucket chain length vs consecutive drains a
+// flow survives. A3: health-check probes as each aggregation level is
+// enabled. A4: segments and eBPF redirect CPU saved by Nagle aggregation
+// per write size. A5: precise (RCA-sized) vs blind scaling, time until the
+// hot backend's water level falls below 50% (-1: never) and scaling
+// operations. A6: largest per-core load share of a 4-core replica by
+// tunnel count.
+
+inline runner::RunResult ablation(const runner::RunSpec& spec) {
+  const std::uint64_t shift = spec.seed - 1;
+  runner::RunResult result;
+
+  {
+    constexpr std::size_t kServices = 60;
+    constexpr std::uint32_t kBackends = 12;
+    std::vector<net::BackendId> pool;
+    for (std::uint32_t i = 1; i <= kBackends; ++i) {
+      pool.push_back(static_cast<net::BackendId>(i));
+    }
+    core::ShuffleShardAssigner assigner(3, sim::Rng(901 + shift));
+    assigner.set_pool(pool);
+    std::vector<std::vector<net::BackendId>> shuffled;
+    std::vector<std::vector<net::BackendId>> fixed;
+    for (std::size_t s = 0; s < kServices; ++s) {
+      shuffled.push_back(
+          *assigner.assign(static_cast<net::ServiceId>(s + 1)));
+      // Naive: services striped onto fixed backend groups.
+      const std::size_t g = s % (kBackends / 3);
+      fixed.push_back({pool[g * 3], pool[g * 3 + 1], pool[g * 3 + 2]});
+    }
+    // Kill service 0's backends; count other services with no survivor.
+    const auto fully_lost =
+        [&](const std::vector<std::vector<net::BackendId>>& assignment) {
+          const auto& dead = assignment.front();
+          std::size_t lost = 0;
+          for (std::size_t s = 1; s < kServices; ++s) {
+            const bool survivor = std::any_of(
+                assignment[s].begin(), assignment[s].end(), [&](auto b) {
+                  return std::find(dead.begin(), dead.end(), b) == dead.end();
+                });
+            if (!survivor) ++lost;
+          }
+          return static_cast<double>(lost);
+        };
+    result.set("a1.fixed_groups_lost", fully_lost(fixed));
+    result.set("a1.shuffle_lost", fully_lost(shuffled));
+    result.set("a1.other_services", static_cast<double>(kServices - 1));
+  }
+
+  for (const std::size_t chain : {2u, 4u, 8u}) {
+    lb::BucketTable table(256, chain);
+    std::vector<net::ReplicaId> replicas;
+    for (std::uint32_t r = 1; r <= 10; ++r) {
+      replicas.push_back(static_cast<net::ReplicaId>(r));
+    }
+    table.assign_round_robin({replicas[0]});
+    // A long-lived flow whose state stays on replica 1 while consecutive
+    // drain events prepend new heads; count how many events it survives.
+    const net::FiveTuple tuple{net::Ipv4Addr(10, 0, 0, 1),
+                               net::Ipv4Addr(10, 0, 0, 2), 77, 443,
+                               net::Protocol::kTcp};
+    const lb::Redirector redirector(table);
+    std::size_t survived = 0;
+    net::ReplicaId current_head = replicas[0];
+    for (std::uint32_t event = 1; event < 9; ++event) {
+      table.prepare_offline(current_head, {replicas[event]});
+      current_head = replicas[event];
+      const auto decision = redirector.resolve(
+          tuple, false, [&](net::ReplicaId r, const net::FiveTuple&) {
+            return r == replicas[0];
+          });
+      if (!decision || decision->target != replicas[0]) break;
+      ++survived;
+    }
+    result.set(row_prefix("a2.chain", chain) + "survived",
+               static_cast<double>(survived));
+  }
+
+  {
+    core::HealthCheckTopology topology;
+    topology.replicas_per_backend = 32;
+    topology.cores_per_replica = 16;
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      core::HealthCheckTopology::Placement placement;
+      placement.service = static_cast<net::ServiceId>(s + 1);
+      for (std::uint64_t a = 0; a < 7; ++a) {
+        placement.apps.push_back(static_cast<net::PodId>(s * 5 + a + 1));
+      }
+      placement.backends = {static_cast<net::BackendId>(1)};
+      topology.services.push_back(placement);
+    }
+    const auto load = core::compute_health_check_load(topology);
+    result.set("a3.none.probes", load.base);
+    result.set("a3.service_merge.probes", load.service_level);
+    result.set("a3.service_merge.reduction",
+               1 - load.service_level / load.base);
+    result.set("a3.core_election.probes", load.core_level);
+    result.set("a3.core_election.reduction", 1 - load.core_level / load.base);
+    result.set("a3.replica_proxy.probes", load.replica_level);
+    result.set("a3.replica_proxy.reduction",
+               1 - load.replica_level / load.base);
+  }
+
+  const proxy::ProxyCostModel costs;
+  for (const std::uint64_t bytes : {16u, 64u, 256u, 1024u}) {
+    constexpr std::uint64_t kWrites = 1000;
+    sim::EventLoop loop;
+    std::uint64_t nagle_segments = 0;
+    proxy::NagleBuffer nagle(loop, costs.mss_bytes, sim::milliseconds(1),
+                             [&](std::uint64_t, std::uint32_t) {
+                               ++nagle_segments;
+                             });
+    for (std::uint64_t i = 0; i < kWrites; ++i) nagle.write(bytes);
+    nagle.flush();
+    loop.run();
+    const double raw_cost = sim::to_microseconds(costs.redirect_cost(
+        proxy::RedirectMode::kEbpf, bytes * kWrites, kWrites));
+    const double nagle_cost = sim::to_microseconds(costs.redirect_cost(
+        proxy::RedirectMode::kEbpf, bytes * kWrites, nagle_segments));
+    const std::string prefix = row_prefix("a4.bytes", bytes);
+    result.set(prefix + "raw_segments", static_cast<double>(kWrites));
+    result.set(prefix + "nagle_segments", static_cast<double>(nagle_segments));
+    result.set(prefix + "cpu_saved", 1.0 - nagle_cost / raw_cost);
+  }
+
+  for (const bool precise : {true, false}) {
+    sim::EventLoop loop;
+    core::MeshGateway gateway(loop, core::GatewayConfig{},
+                              sim::Rng(911 + shift));
+    gateway.add_az(10);
+    k8s::Cluster cluster(loop, static_cast<net::TenantId>(1),
+                         sim::Rng(913 + shift));
+    cluster.add_node(static_cast<net::AzId>(0), 8);
+    k8s::Service& noisy = cluster.add_service("noisy");
+    std::vector<k8s::Service*> quiet;
+    for (int i = 0; i < 4; ++i) {
+      quiet.push_back(&cluster.add_service("quiet-" + std::to_string(i)));
+      cluster.add_pod(*quiet.back(), k8s::AppProfile{})
+          .set_phase(k8s::PodPhase::kRunning);
+    }
+    cluster.add_pod(noisy, k8s::AppProfile{})
+        .set_phase(k8s::PodPhase::kRunning);
+    core::CanalMesh mesh(loop, cluster, gateway, {}, sim::Rng(917 + shift));
+    mesh.install();
+    core::GatewayBackend* hot = gateway.placement_of(noisy.id).front();
+    for (k8s::Service* service : quiet) {
+      gateway.extend_service(service->id, *hot);
+    }
+    for (auto* backend : gateway.all_backends()) {
+      backend->start_sampling(sim::seconds(1));
+    }
+    core::ScalerConfig scaler_config;
+    if (!precise) {
+      // Blind scaling: no RCA sizing, one backend per alert, and it scales
+      // every hosted service instead of the root cause.
+      scaler_config.max_scale_out_per_event = 1;
+      scaler_config.rca.correlation_threshold = -1.0;  // everything suspect
+      scaler_config.rca.min_trend = -1e9;
+      scaler_config.rca.top_k = 16;
+    }
+    core::PreciseScaler scaler(loop, gateway, scaler_config,
+                               sim::Rng(919 + shift));
+    scaler.start();
+    sim::PeriodicTimer load(loop, sim::seconds(1), [&] {
+      inject_spread(gateway, noisy.id, 52000.0, sim::seconds(1));
+      for (k8s::Service* service : quiet) {
+        hot->inject_load(service->id, 300.0, sim::seconds(1));
+      }
+    });
+    load.start();
+    sim::TimePoint recovered = -1;
+    sim::PeriodicTimer watch(loop, sim::seconds(1), [&] {
+      if (recovered < 0 && sim::to_seconds(loop.now()) > 20 &&
+          hot->cpu_utilization(sim::seconds(5)) < 0.5) {
+        recovered = loop.now();
+      }
+    });
+    watch.start();
+    loop.run_until(sim::minutes(10));
+    load.stop();
+    watch.stop();
+    scaler.stop();
+    for (auto* backend : gateway.all_backends()) backend->stop_sampling();
+    const std::string prefix = precise ? "a5.precise." : "a5.blind.";
+    result.set(prefix + "recovered_s",
+               recovered < 0 ? -1.0 : sim::to_seconds(recovered));
+    result.set(prefix + "operations",
+               static_cast<double>(scaler.events().size()));
+  }
+
+  for (const std::uint32_t tunnels : {4u, 8u, 40u, 160u}) {
+    lb::SessionAggregator::Config config;
+    config.router_ip = net::Ipv4Addr(100, 64, 0, 1);
+    config.tunnels_per_replica = tunnels;
+    const lb::SessionAggregator aggregator(config);
+    net::VSwitch vswitch;
+    std::map<std::size_t, std::uint64_t> per_core;
+    for (std::uint32_t i = 0; i < 100000; ++i) {
+      net::Packet packet;
+      packet.tuple = net::FiveTuple{
+          net::Ipv4Addr(10, static_cast<std::uint8_t>(i >> 16),
+                        static_cast<std::uint8_t>(i >> 8),
+                        static_cast<std::uint8_t>(i)),
+          net::Ipv4Addr(100, 64, 0, 1), static_cast<std::uint16_t>(i), 443,
+          net::Protocol::kTcp};
+      aggregator.encapsulate(packet, net::Ipv4Addr(172, 16, 0, 1));
+      ++per_core[vswitch.core_for(packet, 4)];
+    }
+    double max_share = 0;
+    for (const auto& [core, count] : per_core) {
+      max_share = std::max(max_share, count / 100000.0);
+    }
+    result.set(row_prefix("a6.tunnels", tunnels) + "max_core_share",
+               max_share);
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// config_push — Ablation A7: full vs incremental configuration push for
+// one route change at 100, 400 and 1600 pods. Istio ships the full O(N)
+// config to all N sidecars; a delta push sends only the changed service's
+// rules. Canal's consolidation shrinks the target count instead: the two
+// compose.
+
+inline runner::RunResult config_push(const runner::RunSpec& spec) {
+  runner::RunResult result;
+  for (const std::size_t pods : {100u, 400u, 1600u}) {
+    Testbed::Options options;
+    options.nodes = std::max<std::size_t>(2, pods / 15);
+    options.services = std::max<std::size_t>(2, pods / 50);
+    options.pods_per_service = pods / options.services;
+    options.seed = spec.seed;
+    Testbed bed(options);
+    bed.build_istio();
+    bed.build_canal();
+
+    const std::size_t full = mesh::full_config_bytes(bed.cluster);
+    const std::size_t delta =
+        mesh::service_config_bytes(*bed.cluster.services().front());
+    const double istio_full =
+        static_cast<double>(full) * static_cast<double>(pods);
+    const double istio_incremental =
+        static_cast<double>(delta) * static_cast<double>(pods);
+    const std::string istio = row_prefix("a7.pods", pods) + "istio.";
+    result.set(istio + "targets", static_cast<double>(pods));
+    result.set(istio + "full_bytes", istio_full);
+    result.set(istio + "incremental_bytes", istio_incremental);
+    result.set(istio + "saving", istio_full / istio_incremental);
+
+    const auto canal_targets = bed.canal->routing_update_targets();
+    double canal_full = 0;
+    for (const auto& target : canal_targets) {
+      canal_full += static_cast<double>(target.config_bytes);
+    }
+    const double canal_incremental =
+        static_cast<double>(delta) * static_cast<double>(canal_targets.size());
+    const std::string canal = row_prefix("a7.pods", pods) + "canal.";
+    result.set(canal + "targets", static_cast<double>(canal_targets.size()));
+    result.set(canal + "full_bytes", canal_full);
+    result.set(canal + "incremental_bytes", canal_incremental);
+    result.set(canal + "saving",
+               canal_full / std::max(1.0, canal_incremental));
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// control_plane — Fig 4: controller build CPU, push time and bytes for a
+// full push as the cluster grows (10 Gbps cluster-local southbound).
+// Fig 14: P90 config completion time when creating pods, per plane
+// (2 s of pod start common to all). Fig 15: southbound bytes and targets
+// of one routing-policy update at production shape.
+
+inline runner::RunResult control_plane(const runner::RunSpec& spec) {
+  runner::RunResult result;
+
+  k8s::ControlPlaneProfile profile;
+  profile.southbound_bandwidth_bps = 10'000'000'000;
+  for (const std::size_t pods : {1000u, 2000u, 4000u, 8000u}) {
+    // Full per-sidecar config grows with cluster size: O(pods) rules.
+    std::vector<k8s::ConfigTarget> targets(
+        pods, k8s::ConfigTarget{"sidecar", 200 * pods});
+    const k8s::PushReport report =
+        k8s::measure_push(profile, std::move(targets)).report;
+    const std::string prefix = row_prefix("fig4.pods", pods);
+    result.set(prefix + "build_ms", sim::to_milliseconds(report.build_time));
+    result.set(prefix + "push_ms", sim::to_milliseconds(report.total_time -
+                                                        report.build_time));
+    result.set(prefix + "total_ms", sim::to_milliseconds(report.total_time));
+    result.set(prefix + "bytes", static_cast<double>(report.bytes_pushed));
+  }
+
+  const sim::Duration kPodStart = sim::seconds(2);
+  for (const std::size_t new_pods : {50u, 100u, 200u}) {
+    // One fresh testbed per plane; each plane configures the same new pods.
+    const auto make_bed = [&] {
+      Testbed::Options options;
+      options.nodes = 20;
+      options.services = 10;
+      options.pods_per_service = 40;
+      options.seed = spec.seed;
+      return std::make_unique<Testbed>(options);
+    };
+    const auto completion = [&](Testbed& bed,
+                                const mesh::MeshDataplane& mesh) {
+      std::vector<k8s::Pod*> fresh;
+      for (std::size_t i = 0; i < new_pods; ++i) {
+        fresh.push_back(&bed.cluster.add_pod(
+            *bed.services[i % bed.services.size()], k8s::AppProfile{}));
+      }
+      return kPodStart + k8s::measure_push(k8s::ControlPlaneProfile{},
+                                           mesh.pod_create_targets(fresh))
+                             .completion;
+    };
+    const auto istio_bed = make_bed();
+    istio_bed->build_istio();
+    const sim::Duration istio = completion(*istio_bed, *istio_bed->istio);
+    const auto ambient_bed = make_bed();
+    ambient_bed->build_ambient();
+    const sim::Duration ambient =
+        completion(*ambient_bed, *ambient_bed->ambient);
+    const auto canal_bed = make_bed();
+    canal_bed->build_canal();
+    const sim::Duration canal = completion(*canal_bed, *canal_bed->canal);
+    const std::string prefix = row_prefix("fig14.new_pods", new_pods);
+    result.set(prefix + "istio_s", sim::to_seconds(istio));
+    result.set(prefix + "ambient_s", sim::to_seconds(ambient));
+    result.set(prefix + "canal_s", sim::to_seconds(canal));
+    result.set(prefix + "istio_over_canal",
+               sim::to_seconds(istio) / sim::to_seconds(canal));
+    result.set(prefix + "ambient_over_canal",
+               sim::to_seconds(ambient) / sim::to_seconds(canal));
+  }
+
+  // Production shape (§2.2): pods:services ~ 2:1, pods:nodes ~ 15:1; the
+  // gateway runs a handful of shared backends.
+  Testbed::Options options;
+  options.nodes = 4;
+  options.services = 30;
+  options.pods_per_service = 2;
+  options.gateway_backends = 6;
+  options.seed = spec.seed;
+  Testbed bed(options);
+  bed.build_all();
+  const auto total_bytes = [](const std::vector<k8s::ConfigTarget>& targets) {
+    double total = 0;
+    for (const auto& target : targets) {
+      total += static_cast<double>(target.config_bytes);
+    }
+    return total;
+  };
+  const double istio = total_bytes(bed.istio->routing_update_targets());
+  const double ambient = total_bytes(bed.ambient->routing_update_targets());
+  const auto canal_targets = bed.canal->routing_update_targets();
+  const double canal = total_bytes(canal_targets);
+  result.set("fig15.istio.targets",
+             static_cast<double>(bed.istio->proxy_count()));
+  result.set("fig15.istio.bytes", istio);
+  result.set("fig15.istio.vs_canal", istio / canal);
+  result.set("fig15.ambient.targets",
+             static_cast<double>(bed.ambient->proxy_count()));
+  result.set("fig15.ambient.bytes", ambient);
+  result.set("fig15.ambient.vs_canal", ambient / canal);
+  result.set("fig15.canal.targets", static_cast<double>(canal_targets.size()));
+  result.set("fig15.canal.bytes", canal);
+  return result;
+}
+
+}  // namespace scenarios
+
+/// How a family's runs spread over `--seeds K`.
+enum class SeedPolicy {
+  kSweep,  ///< one run per seed 1..K
+  kOnce,   ///< seed 1 only: no RNG, or one fixed operating point
+};
+
+/// One row of a family: its name and the knobs it sets.
+struct Variant {
+  std::string name;
+  std::vector<std::pair<std::string, double>> overrides = {};
+};
+
+/// A scenario family. bench_suite derives everything it knows about a
+/// family from this record: the scenario it registers, the spec grid, the
+/// golden file and section each run feeds, the metric its seed-sweep table
+/// summarizes, and its --help line.
+struct Family {
+  std::string name;
+  runner::RunResult (*run)(const runner::RunSpec&);
+  std::vector<Variant> variants;
+  SeedPolicy seeds;
+  std::string golden;
+  /// Section within `golden`; a "*" stands for the variant name.
+  std::string section;
+  std::string headline;
+  std::string summary;
+
+  [[nodiscard]] std::string section_for(const std::string& variant) const {
+    std::string out = section;
+    if (const auto star = out.find('*'); star != std::string::npos) {
+      out.replace(star, 1, variant);
+    }
+    return out;
+  }
+};
+
+/// Every suite family, in dispatch order: longest runs first, so FIFO
+/// dispatch starts the critical path (region, selfperf canal/proxyless,
+/// throughput sweeps) before the short tail. Section names keep the
+/// retired binaries' golden layout where one existed.
+inline std::vector<Family> bench_families() {
+  using S = SeedPolicy;
+  namespace sc = scenarios;
+  const auto each = [](std::initializer_list<const char*> names) {
+    std::vector<Variant> variants;
+    for (const char* name : names) variants.push_back({name});
+    return variants;
+  };
+  const std::vector<Variant> paper = each({"paper"});
+  return {
+      // Region runs at seed 1 only: it is the suite's longest run by an
+      // order of magnitude, and its determinism story is shards/jobs
+      // invariance at one operating point, not a seed sweep.
+      {"region_scale", sc::region_scale, each({"canal"}), S::kOnce,
+       "BENCH_region.json", "*", "requests",
+       "§5 region: 1120 VMs, 1M RPS, Table 3 tenants, sharded"},
+      {"selfperf", sc::selfperf,
+       each({"canal", "proxyless", "ambient", "istio", "nomesh"}), S::kSweep,
+       "BENCH_selfperf.json", "*", "events",
+       "simulator wall-clock speed + fastpath hit rates"},
+      {"throughput_knee", sc::throughput_knee,
+       each({"canal", "ambient", "istio"}), S::kSweep,
+       "BENCH_throughput.json", "*", "knee_rps",
+       "Fig 11: P99-vs-load sweep and throughput knee"},
+      {"noisy_neighbor", sc::noisy_neighbor,
+       each({"canal", "ambient", "istio"}), S::kSweep, "BENCH_fairness.json",
+       "noisy_neighbor.*", "jain",
+       "Fig 16: per-tenant fairness under a one-tenant surge"},
+      {"config_churn_storm", sc::config_churn_storm,
+       each({"canal", "ambient", "istio"}), S::kSweep,
+       "BENCH_controlplane.json", "churn.*", "convergence_ms_max",
+       "config epochs under load: convergence, skew, tail"},
+      {"cert_rotation_wave", sc::cert_rotation_wave, each({"canal", "istio"}),
+       S::kSweep, "BENCH_controlplane.json", "rotation.*", "makespan_ms",
+       "batched cert re-sign wave + fresh-cert distribution"},
+      {"resilience_retry_storm", sc::resilience_retry_storm,
+       {{"breaker-off", {{"breaker", 0}}}, {"breaker-on", {{"breaker", 1}}}},
+       S::kSweep, "BENCH_resilience.json", "retry_storm.*",
+       "victim_p99_fault_us",
+       "dead service's retry storm vs circuit breaker"},
+      {"resilience_qod", sc::resilience_qod,
+       {{"ejection-off", {{"ejection", 0}}},
+        {"ejection-on", {{"ejection", 1}}}},
+       S::kSweep, "BENCH_resilience.json", "qod.*", "late_error_rate",
+       "query-of-death pod vs outlier ejection"},
+      {"resilience_ratelimit", sc::resilience_ratelimit,
+       {{"limit-off", {{"limit", 0}}}, {"limit-on", {{"limit", 1}}}},
+       S::kSweep, "BENCH_resilience.json", "ratelimit.*", "rate_limited",
+       "tenant surge vs per-tenant token buckets"},
+      {"faults_podkill", sc::faults_podkill,
+       {{"nomesh-retry", {{"retries", 1}}},
+        {"istio", {{"retries", 0}}},
+        {"istio-retry", {{"retries", 1}}},
+        {"ambient", {{"retries", 0}}},
+        {"ambient-retry", {{"retries", 1}}},
+        {"canal", {{"retries", 0}}},
+        {"canal-retry", {{"retries", 1}}}},
+       S::kSweep, "BENCH_faults.json", "podkill.*", "ok_fault",
+       "stale-endpoint pod crashes, retries on/off"},
+      {"faults_gwcrash", sc::faults_gwcrash,
+       {{"monitor-off", {{"monitor", 0}, {"retries", 0}}},
+        {"monitor-on", {{"monitor", 1}, {"retries", 0}}},
+        {"monitor-on-retry", {{"monitor", 1}, {"retries", 1}}}},
+       S::kSweep, "BENCH_faults.json", "gwcrash.*", "ok_fault",
+       "gateway replica crash, health monitor on/off"},
+      {"faults_linkloss", sc::faults_linkloss,
+       {{"noretry", {{"retries", 0}}}, {"retry", {{"retries", 1}}}},
+       S::kSweep, "BENCH_faults.json", "linkloss.*", "ok_fault",
+       "link loss + latency spike, per-try timeouts"},
+      {"latency_bimodal", sc::latency_bimodal, each({"canal"}), S::kSweep,
+       "BENCH_latency.json", "production", "p50_ms",
+       "Fig 24: production-like E2E latency distribution"},
+      {"latency_light", sc::latency_light,
+       each({"no-mesh", "canal", "ambient", "istio"}), S::kSweep,
+       "BENCH_latency.json", "*", "mean_us",
+       "Fig 10: light-load latency + span decomposition"},
+      {"ops_surge_scaling", sc::ops_surge_scaling, each({"canal"}),
+       S::kSweep, "BENCH_ops.json", "surge_scaling", "alert_to_finish_s",
+       "Fig 16: noisy-neighbour surge met by precise scaling"},
+      {"ops_daily", sc::ops_daily, each({"canal"}), S::kSweep,
+       "BENCH_ops.json", "daily", "scaling_events",
+       "Fig 20: a day of live operations: RPS + error codes"},
+      {"ops_inphase", sc::ops_inphase, each({"canal"}), S::kSweep,
+       "BENCH_ops.json", "inphase", "peak_after",
+       "§6.3: in-phase services scattered by pattern monitor"},
+      {"ops_idle_expiry", sc::ops_idle_expiry, each({"canal"}), S::kSweep,
+       "BENCH_ops.json", "idle_expiry", "gw_sessions_expired",
+       "§6.2: idle sessions expiring on a sampled gateway"},
+      // Seed 1 only, like region_scale: at seed 3 the month's scaler keeps
+      // provisioning while its earlier New backends are still booting
+      // (1144 decisions against seed 1's 116), and that run alone takes
+      // ~35 s.
+      {"ops_scaling", sc::ops_scaling, each({"canal"}), S::kOnce,
+       "BENCH_ops.json", "scaling", "fig17.reuse_p50_s",
+       "Figs 17/18, Table 4: Reuse vs New precise scaling"},
+      {"ops_health_checks", sc::ops_health_checks, each({"canal"}), S::kOnce,
+       "BENCH_ops.json", "health_checks", "case1.reduction",
+       "Tables 6/7: health-check probes and aggregation"},
+      {"config_push", sc::config_push, paper, S::kSweep,
+       "BENCH_controlplane.json", "config_push", "a7.pods1600.istio.saving",
+       "Ablation A7: full vs incremental config push"},
+      {"crypto", sc::crypto, paper, S::kSweep, "BENCH_crypto.json", "crypto",
+       "fig28.cores2.latency_cut",
+       "Figs 12/23/25/27/28: crypto offload"},
+      {"control_plane", sc::control_plane, paper, S::kSweep,
+       "BENCH_controlplane.json", "control_plane",
+       "fig14.new_pods200.istio_over_canal",
+       "Figs 4/14/15: config build/push, time, bytes"},
+      {"lb", sc::lb, paper, S::kOnce, "BENCH_dataplane.json", "lb",
+       "fig26.consistent",
+       "Fig 26: session consistency; session aggregation"},
+      {"sidecar_util", sc::sidecar_util, paper, S::kSweep,
+       "BENCH_motivation.json", "sidecar_util", "fig2.util95.vs_idle",
+       "Fig 2: sidecar CPU utilization vs latency"},
+      {"ablation", sc::ablation, paper, S::kSweep, "BENCH_dataplane.json",
+       "ablation", "a5.precise.recovered_s",
+       "Ablations A1-A6: Canal's design choices"},
+      {"resource", sc::resource, paper, S::kSweep, "BENCH_motivation.json",
+       "resource", "fig13.istio_over_canal_max",
+       "Figs 5/13: mesh CPU cores vs workload"},
+      {"special_modes", sc::special_modes, paper, S::kSweep,
+       "BENCH_crypto.json", "special_modes",
+       "keyless.idc_cross_region.latency_ms",
+       "Appendix B, §6.4: proxyless, keyless, innocence"},
+      {"motivation", sc::motivation, paper, S::kSweep,
+       "BENCH_motivation.json", "motivation", "fig3.growth",
+       "Tables 1-3, Fig 3: §2 population models"},
+      {"redirection", sc::redirection, paper, S::kOnce,
+       "BENCH_dataplane.json", "redirection", "fig22.raw_over_nagle",
+       "Figs 21/22, 29/30: eBPF vs iptables redirection"},
+      {"cost", sc::cost, paper, S::kOnce, "BENCH_motivation.json", "cost",
+       "table5.region1.combined",
+       "Table 5: cost saved by redirectors and tunneling"},
+      {"sharding", sc::sharding, paper, S::kSweep, "BENCH_dataplane.json",
+       "sharding", "fig19.survivors",
+       "Fig 19: shuffle-shard combinations, blast radius"},
+  };
+}
+
+/// Registers every family's scenario on `runner`.
+inline void register_families(runner::Runner& runner,
+                              const std::vector<Family>& families) {
+  for (const Family& family : families) {
+    runner.register_scenario(family.name, family.run);
+  }
+}
+
+/// The spec grid for seeds 1..K: one RunSpec per (family, variant, seed),
+/// in table order.
+inline std::vector<runner::RunSpec> family_specs(
+    const std::vector<Family>& families, std::uint64_t seeds) {
+  std::vector<runner::RunSpec> specs;
+  for (const Family& family : families) {
+    const std::uint64_t last = family.seeds == SeedPolicy::kOnce ? 1 : seeds;
+    for (const Variant& variant : family.variants) {
+      for (std::uint64_t seed = 1; seed <= last; ++seed) {
+        specs.push_back(runner::RunSpec{family.name, variant.name, seed,
+                                        variant.overrides});
+      }
+    }
+  }
   return specs;
 }
 

@@ -111,22 +111,30 @@ else
   }
 
   # Determinism gate: a parallel (--jobs 8) and a serial (--jobs 1) suite
-  # run must both reproduce every committed golden byte-for-byte. Keys
-  # under the reserved "wall." prefix (selfperf's wall-clock readings:
-  # wall.events_per_sec_per_core and friends) are machine-load-dependent
-  # by design and are stripped before diffing; everything else — including
-  # the deterministic selfperf allocation counters — must match exactly.
+  # run must both write exactly the set of BENCH_*.json goldens committed
+  # at the repo root — a golden in one set but not the other fails, so a
+  # new family's golden cannot go ungated — and reproduce every one of
+  # them byte-for-byte. Keys under the reserved "wall." prefix (selfperf's
+  # wall-clock readings: wall.events_per_sec_per_core and friends) are
+  # machine-load-dependent by design and are stripped before diffing;
+  # everything else — including the deterministic selfperf allocation
+  # counters — must match exactly.
   determinism_gate() {
-    local goldens=(BENCH_latency.json BENCH_throughput.json
-                   BENCH_faults.json BENCH_selfperf.json BENCH_fairness.json
-                   BENCH_resilience.json BENCH_region.json
-                   BENCH_controlplane.json BENCH_ops.json)
-    local suite_jobs scratch golden
+    local suite_jobs scratch golden committed written
+    committed="$(cd "${repo_root}" && ls -1 BENCH_*.json)"
     for suite_jobs in 8 1; do
       scratch="$(mktemp -d)"
       (cd "${scratch}" && "${build_dir}/bench/bench_suite" \
         --jobs "${suite_jobs}" --seeds 3 --json > /dev/null)
-      for golden in "${goldens[@]}"; do
+      written="$(cd "${scratch}" && ls -1 BENCH_*.json)"
+      if ! diff <(echo "${written}") <(echo "${committed}") >&2; then
+        echo "determinism gate FAILED (--jobs ${suite_jobs}): the goldens" \
+          "bench_suite --json writes (< lines) and the committed" \
+          "BENCH_*.json (> lines) differ" >&2
+        echo "scratch output kept at ${scratch}" >&2
+        exit 1
+      fi
+      for golden in ${written}; do
         if ! diff <(grep -v '"wall\.' "${scratch}/${golden}") \
                   <(grep -v '"wall\.' "${repo_root}/${golden}") > /dev/null
         then
@@ -139,7 +147,7 @@ else
       rm -rf "${scratch}"
     done
     echo "determinism gate OK: bench_suite --jobs 8 and --jobs 1 both" \
-      "match all committed goldens"
+      "write exactly the committed goldens and match all of them"
   }
 
   # Selfperf regression gate: the simulator may not get slower. A serial,

@@ -625,9 +625,10 @@ MeshGateway::Az& MeshGateway::az_of(net::AzId id) {
 GatewayBackend& MeshGateway::add_backend(net::AzId az_id, bool is_sandbox) {
   Az& az = az_of(az_id);
   az.backends.push_back(std::make_unique<GatewayBackend>(
-      loop_, static_cast<net::BackendId>(next_backend_++), az_id, config_,
-      rng_.fork(), is_sandbox));
+      loop_, static_cast<net::BackendId>(backends_by_id_.size() + 1), az_id,
+      config_, rng_.fork(), is_sandbox));
   GatewayBackend& backend = *az.backends.back();
+  backends_by_id_.push_back(&backend);
   if (is_sandbox) az.sandbox = &backend;
 
   // Refresh the shuffle-shard pool with non-sandbox backends.
@@ -657,12 +658,12 @@ std::vector<GatewayBackend*> MeshGateway::all_backends() {
 }
 
 GatewayBackend* MeshGateway::find_backend(net::BackendId id) {
-  for (auto& az : azs_) {
-    for (auto& b : az.backends) {
-      if (b->id() == id) return b.get();
-    }
-  }
-  return nullptr;
+  // Id 0 wraps to the largest index and misses like any id past the end;
+  // the id compare guards the numbering rule the index relies on.
+  const std::size_t index = static_cast<std::size_t>(net::id_value(id)) - 1;
+  if (index >= backends_by_id_.size()) return nullptr;
+  GatewayBackend* backend = backends_by_id_[index];
+  return backend->id() == id ? backend : nullptr;
 }
 
 GatewayBackend* MeshGateway::sandbox(net::AzId az_id) {

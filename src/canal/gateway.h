@@ -473,13 +473,15 @@ class MeshGateway {
   GatewayConfig config_;
   sim::Rng rng_;
   std::vector<Az> azs_;
+  /// Every backend by id: add_backend numbers them from 1 and none is ever
+  /// removed, so backend `id` sits at index id - 1.
+  std::vector<GatewayBackend*> backends_by_id_;
   net::VSwitch vswitch_;
   sim::Pool<DispatchState> dispatches_;
   sim::FlatHashMap<net::ServiceId, std::vector<net::BackendId>, net::IdHash>
       placements_;
   sim::FlatHashMap<net::ServiceId, const k8s::Service*, net::IdHash>
       service_objects_;
-  std::uint32_t next_backend_ = 1;
   std::uint16_t next_az_ = 0;
   std::uint32_t next_vni_ = 100;
 };

@@ -1,6 +1,6 @@
 // Unit tests for the crypto substrate: ChaCha20 (RFC 8439 vectors),
-// SipHash MAC/KDF, toy DH/Schnorr, certificates, the mTLS handshake state
-// machine, the batch accelerator, and the key server.
+// SipHash MAC/KDF, toy DH/Schnorr, certificates, record protection, the
+// batch accelerator, and the key server.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,12 +12,11 @@
 #include "crypto/accelerator.h"
 #include "crypto/cert.h"
 #include "crypto/chacha20.h"
-#include "crypto/handshake.h"
 #include "crypto/keyexchange.h"
 #include "crypto/keyserver.h"
 #include "crypto/mac.h"
+#include "crypto/record.h"
 #include "sim/event_loop.h"
-#include "tests/testutil.h"
 
 namespace canal::crypto {
 namespace {
@@ -246,109 +245,7 @@ TEST(Spiffe, TrustDomainExtraction) {
   EXPECT_FALSE(spiffe_trust_domain("spiffe:///x").has_value());
 }
 
-// ---- Full mTLS handshake ------------------------------------------------
-
-// CA / keypair / endpoint-config setup is shared with the other mTLS
-// tests; the defaults (seed 79, "mesh-ca", t1 identities) are this
-// file's historical values.
-using HandshakeFixture = canal::testutil::MtlsFixture;
-
-TEST(Handshake, CompletesAndKeysAgree) {
-  HandshakeFixture fx;
-  ClientHandshake client(fx.client_config(), fx.rng);
-  ServerHandshake server(fx.server_config(), fx.rng);
-
-  const ClientHello hello = client.start();
-  const auto server_hello = server.on_client_hello(hello);
-  ASSERT_TRUE(server_hello.has_value());
-  const auto client_fin = client.on_server_hello(*server_hello, 0);
-  ASSERT_TRUE(client_fin.has_value()) << handshake_error_name(client.error());
-  const auto server_fin = server.on_client_finished(*client_fin, 0);
-  ASSERT_TRUE(server_fin.has_value()) << handshake_error_name(server.error());
-  ASSERT_TRUE(client.on_server_finished(*server_fin));
-
-  EXPECT_TRUE(client.complete());
-  EXPECT_TRUE(server.complete());
-  EXPECT_EQ(client.keys().client_to_server, server.keys().client_to_server);
-  EXPECT_EQ(client.keys().server_to_client, server.keys().server_to_client);
-  EXPECT_EQ(client.keys().peer_identity, "spiffe://t1/server");
-  EXPECT_EQ(server.keys().peer_identity, "spiffe://t1/client");
-}
-
-TEST(Handshake, RecordsFlowOverEstablishedKeys) {
-  HandshakeFixture fx;
-  ClientHandshake client(fx.client_config(), fx.rng);
-  ServerHandshake server(fx.server_config(), fx.rng);
-  const auto server_hello = server.on_client_hello(client.start());
-  const auto client_fin = client.on_server_hello(*server_hello, 0);
-  const auto server_fin = server.on_client_finished(*client_fin, 0);
-  ASSERT_TRUE(client.on_server_finished(*server_fin));
-
-  RecordChannel tx(client.keys().client_to_server);
-  RecordChannel rx(server.keys().client_to_server);
-  const auto r1 = tx.seal("GET / HTTP/1.1\r\n\r\n");
-  const auto r2 = tx.seal("POST /x HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(rx.open(r1), "GET / HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(rx.open(r2), "POST /x HTTP/1.1\r\n\r\n");
-}
-
-TEST(Handshake, RejectsUntrustedServerCert) {
-  HandshakeFixture fx;
-  sim::Rng rogue_rng(83);
-  CertificateAuthority rogue("mesh-ca", rogue_rng);  // same name, wrong key
-  EndpointConfig server_config = fx.server_config();
-  server_config.certificate =
-      rogue.issue("spiffe://t1/server", fx.server_key.public_key, 0,
-                  sim::hours(24), rogue_rng);
-  ClientHandshake client(fx.client_config(), fx.rng);
-  ServerHandshake server(server_config, fx.rng);
-  const auto server_hello = server.on_client_hello(client.start());
-  const auto client_fin = client.on_server_hello(*server_hello, 0);
-  EXPECT_FALSE(client_fin.has_value());
-  EXPECT_EQ(client.error(), HandshakeError::kBadCertificate);
-}
-
-TEST(Handshake, RejectsSignerWithoutKeyPossession) {
-  // Server presents a valid certificate but cannot sign with the matching
-  // private key (stolen-cert scenario).
-  HandshakeFixture fx;
-  EndpointConfig server_config = fx.server_config();
-  const KeyPair wrong = generate_keypair(fx.rng);
-  server_config.signer = [&fx, wrong](std::string_view transcript) {
-    return sign(wrong.private_key, transcript, fx.rng);
-  };
-  ClientHandshake client(fx.client_config(), fx.rng);
-  ServerHandshake server(server_config, fx.rng);
-  const auto server_hello = server.on_client_hello(client.start());
-  const auto client_fin = client.on_server_hello(*server_hello, 0);
-  EXPECT_FALSE(client_fin.has_value());
-  EXPECT_EQ(client.error(), HandshakeError::kBadSignature);
-}
-
-TEST(Handshake, AuthorizationPolicyEnforced) {
-  HandshakeFixture fx;
-  EndpointConfig server_config = fx.server_config();
-  server_config.authorize_peer = [](std::string_view identity) {
-    return identity == "spiffe://t1/allowed";
-  };
-  ClientHandshake client(fx.client_config(), fx.rng);
-  ServerHandshake server(server_config, fx.rng);
-  const auto server_hello = server.on_client_hello(client.start());
-  const auto client_fin = client.on_server_hello(*server_hello, 0);
-  ASSERT_TRUE(client_fin.has_value());
-  const auto server_fin = server.on_client_finished(*client_fin, 0);
-  EXPECT_FALSE(server_fin.has_value());
-  EXPECT_EQ(server.error(), HandshakeError::kUnauthorizedPeer);
-}
-
-TEST(Handshake, StateViolationsRejected) {
-  HandshakeFixture fx;
-  ClientHandshake client(fx.client_config(), fx.rng);
-  // on_server_hello before start().
-  ServerHello bogus;
-  EXPECT_FALSE(client.on_server_hello(bogus, 0).has_value());
-  EXPECT_EQ(client.error(), HandshakeError::kStateViolation);
-}
+// ---- Record channel ------------------------------------------------------
 
 TEST(RecordChannel, TamperAndReplayRejected) {
   const Key256 key = derive_key("k", "chan");

@@ -130,6 +130,28 @@ TEST(MigrationOps, SandboxIsReusedPerAz) {
   EXPECT_EQ(std::find(pool.begin(), pool.end(), box1->id()), pool.end());
 }
 
+TEST(GatewayOps, FindBackendResolvesEveryIdAndMissesTheRest) {
+  sim::EventLoop loop;
+  MeshGateway gateway(loop, GatewayConfig{}, sim::Rng(4011));
+  const net::AzId az0 = gateway.add_az(2);
+  const net::AzId az1 = gateway.add_az(3);
+  // A sandbox and a late backend interleave ids across the two AZs.
+  GatewayBackend* sandbox = gateway.sandbox(az0);
+  GatewayBackend& late = gateway.add_backend(az1);
+  const auto all = gateway.all_backends();
+  ASSERT_EQ(all.size(), 7u);
+  for (GatewayBackend* backend : all) {
+    EXPECT_EQ(gateway.find_backend(backend->id()), backend);
+  }
+  EXPECT_EQ(gateway.find_backend(sandbox->id()), sandbox);
+  EXPECT_TRUE(gateway.find_backend(sandbox->id())->is_sandbox());
+  EXPECT_EQ(gateway.find_backend(late.id())->az(), az1);
+  EXPECT_EQ(gateway.find_backend(static_cast<net::BackendId>(0)), nullptr);
+  EXPECT_EQ(gateway.find_backend(static_cast<net::BackendId>(8)), nullptr);
+  EXPECT_EQ(gateway.find_backend(static_cast<net::BackendId>(0xFFFFFFFFu)),
+            nullptr);
+}
+
 TEST(ResponderOps, NormalGrowthDispatchesToScaler) {
   OpsWorld world;
   for (auto* backend : world.gateway.all_backends()) {

@@ -239,7 +239,7 @@ bench::RegionOptions tiny_region() {
   opts.services_per_az = 4;
   opts.pods_per_service = 3;
   opts.gateway_backends = 2;
-  opts.gateway_backends_per_service = 2;
+  opts.gateway.backends_per_service_local = 2;
   opts.aggregate_rps = 20'000.0;
   opts.duration = sim::milliseconds(50);
   opts.generators_per_az = 8;
