@@ -9,13 +9,6 @@ constexpr std::string_view kMethodNames[] = {
     "GET",     "HEAD",    "POST",  "PUT",  "DELETE",
     "CONNECT", "OPTIONS", "TRACE", "PATCH"};
 
-// ASCII-only case fold, inline: the locale-aware std::tolower is an
-// out-of-line call per byte, and the simulator never calls setlocale, so in
-// the "C" locale the two agree on every byte.
-constexpr char ascii_lower(char c) noexcept {
-  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
 }  // namespace
 
 std::string_view method_name(Method m) noexcept {
@@ -27,14 +20,6 @@ std::optional<Method> parse_method(std::string_view text) noexcept {
     if (text == kMethodNames[i]) return static_cast<Method>(i);
   }
   return std::nullopt;
-}
-
-bool iequals(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
-  }
-  return true;
 }
 
 void HeaderMap::add(std::string name, std::string value) {

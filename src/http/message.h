@@ -62,7 +62,23 @@ class HeaderMap {
 };
 
 /// Case-insensitive ASCII string equality (header names, header match rules).
-[[nodiscard]] bool iequals(std::string_view a, std::string_view b) noexcept;
+/// Exact bytes are tried first: the names the simulator writes itself
+/// ("Host", "Content-Length") match with one size check and one memcmp.
+[[nodiscard]] inline bool iequals(std::string_view a,
+                                  std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  if (a == b) return true;
+  // ASCII-only case fold, inline: the locale-aware std::tolower is an
+  // out-of-line call per byte, and the simulator never calls setlocale, so
+  // in the "C" locale the two agree on every byte.
+  constexpr auto lower = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (lower(a[i]) != lower(b[i])) return false;
+  }
+  return true;
+}
 
 struct Request {
   Method method = Method::kGet;

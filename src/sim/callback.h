@@ -6,7 +6,7 @@
 // buffer (two pointers on libstdc++). sim::BasicCallback keeps captures up
 // to kInlineSize bytes inline in the owning record itself and only falls
 // back to the heap for oversized or throwing-move callables, so
-// steady-state scheduling performs no allocations beyond the event heap's
+// steady-state scheduling performs no allocations beyond the event slab's
 // own storage.
 //
 // sim::Callback is the `void()` case every event and CPU job uses; the

@@ -1,6 +1,6 @@
 #include "sim/event_loop.h"
 
-#include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace canal::sim {
@@ -11,7 +11,7 @@ void EventLoop::add_chunk() {
   Event* chunk = chunks_.back().get();
   // Thread the new slots onto the free list in ascending order.
   for (std::uint32_t i = 0; i < kChunkEvents; ++i) {
-    chunk[i].next_free = i + 1 < kChunkEvents ? base + i + 1 : free_head_;
+    chunk[i].next = i + 1 < kChunkEvents ? base + i + 1 : free_head_;
   }
   free_head_ = base;
 }
@@ -20,7 +20,7 @@ std::uint32_t EventLoop::acquire_slot(Callback&& cb) {
   if (free_head_ == kNoSlot) add_chunk();
   const std::uint32_t slot = free_head_;
   Event& ev = event(slot);
-  free_head_ = ev.next_free;
+  free_head_ = ev.next;
   ev.cb = std::move(cb);
   return slot;
 }
@@ -28,55 +28,45 @@ std::uint32_t EventLoop::acquire_slot(Callback&& cb) {
 void EventLoop::release_slot(std::uint32_t slot) noexcept {
   Event& ev = event(slot);
   ev.cb = nullptr;
-  ev.next_free = free_head_;
+  ++ev.generation;  // odd (cancelled or fired) -> even (free)
+  ev.next = free_head_;
   free_head_ = slot;
 }
 
-void EventLoop::heap_push(const HeapKey& key) {
-  std::size_t hole = heap_.size();
-  heap_.push_back(key);
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / kArity;
-    if (!earlier(key, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
+void EventLoop::append(std::uint32_t slot, TimePoint when) noexcept {
+  const auto k = static_cast<std::size_t>(
+      std::bit_width(static_cast<std::uint64_t>(when ^ last_)));
+  Bucket& bucket = buckets_[k];
+  const std::uint64_t bit = std::uint64_t{1} << k;
+  if ((occupied_ & bit) != 0) {
+    event(bucket.tail).next = slot;
+    if (when < bucket.min) bucket.min = when;
+  } else {
+    occupied_ |= bit;
+    bucket.head = slot;
+    bucket.min = when;
   }
-  heap_[hole] = key;
+  bucket.tail = slot;
 }
 
-EventLoop::HeapKey EventLoop::heap_pop() noexcept {
-  const HeapKey top = heap_.front();
-  const HeapKey last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  // Sift a hole from the root down to where `last` belongs.
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = hole * kArity + 1;
-    if (first >= n) break;
-    const std::size_t end = std::min(first + kArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], last)) break;
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  heap_[hole] = last;
-  return top;
+void EventLoop::enqueue(TimePoint when, std::uint32_t slot) noexcept {
+  event(slot).when = when;
+  append(slot, when);
+  ++size_;
 }
 
-void EventLoop::enqueue(TimePoint when, std::uint32_t slot) {
-  const HeapKey key{when, next_seq_++, slot, event(slot).generation};
-  if (when == now_) {
-    // Same-tick event: FIFO bucket, no heap sift. seq still drawn from the
-    // global counter so pop order matches a pure heap exactly (see header).
-    bucket_.push_back(key);
-    return;
+void EventLoop::rebucket(std::size_t k) noexcept {
+  const Bucket bucket = buckets_[k];
+  occupied_ &= ~(std::uint64_t{1} << k);
+  // In order, so equal times keep their FIFO order (see header). Every
+  // event lands in a bucket below k.
+  for (std::uint32_t slot = bucket.head;;) {
+    const Event& ev = event(slot);
+    const std::uint32_t next = ev.next;
+    append(slot, ev.when);
+    if (slot == bucket.tail) break;
+    slot = next;
   }
-  heap_push(key);
 }
 
 EventHandle EventLoop::schedule_at(TimePoint when, Callback&& cb) {
@@ -91,11 +81,10 @@ void EventLoop::post_at(TimePoint when, Callback&& cb) {
   enqueue(when, acquire_slot(std::move(cb)));
 }
 
-bool EventLoop::run_key(HeapKey key) {
-  // `key` is a copy: the callback may grow bucket_ or heap_.
-  Event& ev = event(key.slot);
-  if (ev.generation != key.generation) {  // cancelled
-    release_slot(key.slot);
+bool EventLoop::run_slot(std::uint32_t slot) {
+  Event& ev = event(slot);
+  if ((ev.generation & 1) != 0) {  // cancelled
+    release_slot(slot);
     return false;
   }
   // Firing ends the event: its handle (and any copy) stops matching.
@@ -106,63 +95,51 @@ bool EventLoop::run_key(HeapKey key) {
     EventLoop* loop;
     std::uint32_t slot;
     ~Release() { loop->release_slot(slot); }
-  } release{this, key.slot};
+  } release{this, slot};
   ev.cb();
   return true;
 }
 
-bool EventLoop::pop_and_run() {
-  const HeapKey key = heap_pop();
-  now_ = key.when;
-  return run_key(key);
+std::uint32_t EventLoop::pop_due(TimePoint deadline) noexcept {
+  if ((occupied_ & 1) != 0) {
+    if (last_ > deadline) return kNoSlot;  // bucket 0 runs at last_ == now_
+  } else {
+    if (occupied_ == 0) return kNoSlot;
+    const auto k = static_cast<std::size_t>(std::countr_zero(occupied_));
+    Bucket& lowest = buckets_[k];
+    if (lowest.min > deadline) return kNoSlot;
+    last_ = lowest.min;
+    if (lowest.head == lowest.tail) {  // a lone event needs no re-bucketing
+      occupied_ &= ~(std::uint64_t{1} << k);
+      --size_;
+      return lowest.head;
+    }
+    rebucket(k);
+  }
+  Bucket& front = buckets_[0];
+  const std::uint32_t slot = front.head;
+  if (slot == front.tail) {
+    occupied_ &= ~std::uint64_t{1};
+  } else {
+    front.head = event(slot).next;
+  }
+  --size_;
+  return slot;
 }
 
-bool EventLoop::run_bucket_front() {
-  return run_key(bucket_[bucket_cursor_++]);
-}
-
-std::size_t EventLoop::run() {
+std::size_t EventLoop::drain(TimePoint deadline) {
   std::size_t count = 0;
-  for (;;) {
-    // Heap entries keyed at now_ predate every bucket entry (smaller seq;
-    // see header), so they drain first.
-    if (!heap_.empty() && heap_.front().when <= now_) {
-      if (pop_and_run()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ < bucket_.size()) {
-      if (run_bucket_front()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ != 0) {
-      bucket_.clear();
-      bucket_cursor_ = 0;
-    }
-    if (heap_.empty()) break;
-    if (pop_and_run()) ++count;  // advances now_
+  // The queue is consistent before each callback runs, so the callback may
+  // schedule and cancel freely.
+  for (std::uint32_t slot; (slot = pop_due(deadline)) != kNoSlot;) {
+    now_ = last_;
+    if (run_slot(slot)) ++count;
   }
   return count;
 }
 
 std::size_t EventLoop::run_until(TimePoint deadline) {
-  std::size_t count = 0;
-  for (;;) {
-    if (!heap_.empty() && heap_.front().when <= now_) {
-      if (pop_and_run()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ < bucket_.size()) {
-      if (now_ > deadline) break;  // bucket entries run at exactly now_
-      if (run_bucket_front()) ++count;
-      continue;
-    }
-    if (bucket_cursor_ != 0) {
-      bucket_.clear();
-      bucket_cursor_ = 0;
-    }
-    if (heap_.empty() || heap_.front().when > deadline) break;
-    if (pop_and_run()) ++count;
-  }
+  const std::size_t count = drain(deadline);
   if (now_ < deadline) now_ = deadline;
   return count;
 }

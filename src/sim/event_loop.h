@@ -1,12 +1,19 @@
 // Discrete-event simulation core.
 //
-// A 4-ary min-heap scheduler over (time, sequence) keys. Ties are broken by
-// insertion order so runs are deterministic. Events are arbitrary callables;
+// A radix queue keyed on event time. Simulated time never runs backwards:
+// nothing is scheduled before now(), so the future-event list is a monotone
+// priority queue, which a radix heap serves with O(1) push, amortised
+// O(log C) pop and no key comparisons (Ahuja, Mehlhorn, Orlin & Tarjan,
+// J. ACM 1990). Events with equal times run in the order they were
+// scheduled, so runs are deterministic. Events are arbitrary callables;
 // higher-level components (CPU cores, links, timers) are built on top.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -22,7 +29,7 @@ class EventLoop;
 /// slot's generation when the event was scheduled. Firing or cancelling
 /// bumps the slot's generation, so a handle whose event is gone — even if
 /// its slot now holds a newer event — matches nothing. Cancelling is O(1);
-/// the event's key stays in the heap and is skipped when popped.
+/// the event stays queued and is skipped when it pops.
 ///
 /// A handle holds a raw pointer to its loop: cancel() and pending() must not
 /// be called after the loop is destroyed.
@@ -70,8 +77,8 @@ class EventLoop {
   }
 
   /// Fire-and-forget variant of schedule_at: no cancellation handle. Same
-  /// sequence numbering as schedule_at, so swapping one for the other never
-  /// moves an event.
+  /// queue as schedule_at, so swapping one for the other never moves an
+  /// event.
   void post_at(TimePoint when, Callback&& cb);
 
   /// Fire-and-forget variant of schedule().
@@ -80,7 +87,7 @@ class EventLoop {
   }
 
   /// Runs events until the queue empties. Returns the number of events run.
-  std::size_t run();
+  std::size_t run() { return drain(kForever); }
 
   /// Runs events with time <= `deadline`, then advances now() to `deadline`.
   std::size_t run_until(TimePoint deadline);
@@ -89,78 +96,84 @@ class EventLoop {
   std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
   /// Number of pending (possibly cancelled) events.
-  [[nodiscard]] std::size_t pending_events() const noexcept {
-    return heap_.size() + (bucket_.size() - bucket_cursor_);
-  }
+  [[nodiscard]] std::size_t pending_events() const noexcept { return size_; }
 
   /// Earliest pending event time, or std::nullopt when the queue is empty.
   /// Cancelled events still count (they are skipped only when popped), so
   /// the value is a lower bound on the next *effective* event — which is
   /// exactly what a conservative shard scheduler needs (see shard.h).
   [[nodiscard]] std::optional<TimePoint> next_event_time() const noexcept {
-    if (bucket_cursor_ < bucket_.size()) return now_;  // runs at exactly now_
-    if (!heap_.empty()) return heap_.front().when;
-    return std::nullopt;
+    if (occupied_ == 0) return std::nullopt;
+    return buckets_[static_cast<std::size_t>(std::countr_zero(occupied_))].min;
   }
 
  private:
-  // The heap sifts small (when, seq, slot) keys; the callback payloads
-  // (~6x larger, with inline capture storage) sit in a slab indexed by
-  // `slot` and are never moved by heap operations. Ordering is identical to
-  // a direct heap of events: (when, seq) keys are unique and
-  // insertion-ordered, so simulated behaviour is unchanged.
+  // Radix queue. `last_` is the time of the minimum found at the last
+  // re-bucketing. Bucket b > 0 holds the queued events whose `when` first
+  // differs from `last_` at bit b-1, i.e. bit_width(when ^ last_) == b;
+  // bucket 0 is the FIFO of events at exactly `last_`. Every event in
+  // bucket b is earlier than every event in a higher bucket. Each bucket is
+  // a FIFO linked through its events' `next` and keeps its head, its tail
+  // and its least `when`; bit b of `occupied_` says bucket b is non-empty.
   //
-  // Heap: 4-ary, stored level by level in `heap_`, so a key's children are
-  // contiguous (one or two cache lines of 24-byte keys) and the tree is half
-  // as deep as a binary heap. Push and pop move a hole instead of swapping:
-  // each level costs one key copy, and the moving key is written once.
+  // Pop: bucket 0's head, while it has one. When bucket 0 empties, the
+  // lowest non-empty bucket k (one countr_zero) holds the earliest event.
+  // `last_` moves to that bucket's minimum and the bucket's events are
+  // re-bucketed in order (a lone event is simply popped). They all agree
+  // with the new `last_` from bit k-1 up, so each lands in a bucket below
+  // k, while every event above k keeps its bucket. An event thus moves at
+  // most 63 times in its life.
+  //
+  // Invariant last_ <= now(): `last_` only moves to an event about to run.
+  // pop_due() compares the lowest bucket's minimum with its deadline before
+  // re-bucketing and stops if the minimum is past it, so `last_` never
+  // passes a deadline. Every post_at() (clamped to now()) therefore has
+  // when >= last_, and bit_width(when ^ last_) is its bucket. Times start
+  // at 0 and never run backwards, so they are non-negative and that width
+  // is at most 63: 64 buckets suffice.
+  //
+  // Ties: equal `when` => same bucket => FIFO. A bucket index depends on
+  // `when` and `last_` only, and re-bucketing keeps the index of every
+  // bucket above k, so two events with equal `when` always share a bucket.
+  // Buckets are appended to in scheduling order, and a re-bucketed bucket's
+  // events land, in order, in buckets below k, which are all empty then. So
+  // equal times run in scheduling order: the (when, sequence) order of a
+  // comparison heap, with no sequence number. Same-tick batching is bucket
+  // 0: an event posted for now() == last_ is appended there and runs
+  // before time advances, with no re-bucketing.
   //
   // Slab: fixed chunks of kChunkEvents events, so a slot's address never
-  // changes once allocated. That lets run_key() invoke a callback where it
+  // changes once allocated. That lets run_slot() invoke a callback where it
   // sits, even though the callback may schedule enough events to grow the
   // slab while it runs: growth adds a chunk and moves no event. Free slots
-  // form a list threaded through the events themselves, so steady-state
-  // scheduling touches no allocator. A fired slot returns to the list only
-  // after its callback returns or throws, and its callback is destroyed
-  // first: the callback is relocated exactly once, from the caller's
-  // temporary into the slot.
+  // form a list threaded through the same `next` link as the buckets (a
+  // slot is free, queued or running, never two at once), so steady-state
+  // scheduling touches no allocator and the queue owns no other storage. A
+  // fired slot returns to the list only after its callback returns or
+  // throws, and its callback is destroyed first: the callback is relocated
+  // exactly once, from the caller's temporary into the slot.
   //
-  // Same-timestamp batching: an event scheduled for `now_` while the loop
-  // stands at `now_` skips the heap entirely and is appended to `bucket_`,
-  // a FIFO drained before time advances. This is order-exact: while now_
-  // == T no event with when == T can enter the heap (it lands in the
-  // bucket), so every T-keyed heap entry predates — and has a smaller seq
-  // than — every bucket entry, and draining heap-T-entries first, then the
-  // bucket in append order, replays the exact (when, seq) order a pure
-  // heap would have produced. The win is skipping two O(log n) sifts per
-  // same-tick event — the dominant class once request fan-out chains post
-  // zero-delay continuations.
-  //
-  // Cancellation: each slot carries a generation, copied into its key and
-  // its handle when the event is scheduled. Firing or cancelling bumps the
-  // slot's generation; a popped key whose generation no longer matches was
-  // cancelled and is skipped. A cancelled slot is freed only when its key
-  // pops, so a slot never holds two live keys.
+  // Cancellation: a slot's generation is even while the slot is free or
+  // holds a pending event, and the event's handle copies it. Cancelling or
+  // firing makes it odd, so the handle stops matching; releasing the slot
+  // makes it even again, one step on. A queued event with an odd generation
+  // was cancelled and is skipped when it pops; its slot is freed then, so a
+  // slot never sits in a bucket twice.
   struct Event {
     Callback cb;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = 0;  // free-list link while the slot is free
-  };
-  struct HeapKey {
     TimePoint when = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;  // fills the key's padding: still 24 bytes
+    std::uint32_t generation = 0;  // even: free or pending; odd: cancelled
+    std::uint32_t next = 0;        // bucket link, or free-list link
   };
-  static_assert(sizeof(HeapKey) == 24);
+  struct Bucket {
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    TimePoint min = 0;  // least `when` in the bucket, cancelled ones included
+  };
   static constexpr std::uint32_t kChunkEvents = 64;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-  static constexpr std::size_t kArity = 4;
-
-  [[nodiscard]] static bool earlier(const HeapKey& a,
-                                    const HeapKey& b) noexcept {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-  }
+  static constexpr std::size_t kBuckets = 64;
+  static constexpr TimePoint kForever = std::numeric_limits<TimePoint>::max();
 
   friend class EventHandle;
 
@@ -174,12 +187,14 @@ class EventLoop {
   std::uint32_t acquire_slot(Callback&& cb);
   void release_slot(std::uint32_t slot) noexcept;
   void add_chunk();
-  void enqueue(TimePoint when, std::uint32_t slot);
-  void heap_push(const HeapKey& key);
-  HeapKey heap_pop() noexcept;
-  bool run_key(HeapKey key);
-  bool pop_and_run();
-  bool run_bucket_front();
+  void enqueue(TimePoint when, std::uint32_t slot) noexcept;
+  void append(std::uint32_t slot, TimePoint when) noexcept;
+  void rebucket(std::size_t k) noexcept;
+  /// Unlinks the earliest event if it is due by `deadline`, moving `last_`
+  /// to its time; kNoSlot otherwise.
+  std::uint32_t pop_due(TimePoint deadline) noexcept;
+  bool run_slot(std::uint32_t slot);
+  std::size_t drain(TimePoint deadline);
 
   [[nodiscard]] bool live(std::uint32_t slot,
                           std::uint32_t generation) const noexcept {
@@ -190,10 +205,10 @@ class EventLoop {
   }
 
   TimePoint now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::vector<HeapKey> heap_;
-  std::vector<HeapKey> bucket_;      // FIFO of events at exactly now_
-  std::size_t bucket_cursor_ = 0;    // next bucket entry to run
+  TimePoint last_ = 0;
+  std::uint64_t occupied_ = 0;
+  std::size_t size_ = 0;
+  std::array<Bucket, kBuckets> buckets_{};
   std::vector<std::unique_ptr<Event[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;
 };

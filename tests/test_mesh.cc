@@ -358,10 +358,12 @@ TEST(ConfigHelpers, ServiceVipIgnoresTenantBits) {
 }
 
 TEST(ConfigHelpers, ServiceVipRejectsCounterOverflow) {
-  EXPECT_THROW(service_vip(static_cast<net::ServiceId>(1ULL << 24)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      static_cast<void>(service_vip(static_cast<net::ServiceId>(1ULL << 24))),
+      std::invalid_argument);
   // The largest encodable counter still works.
-  EXPECT_NO_THROW(service_vip(static_cast<net::ServiceId>((1ULL << 24) - 1)));
+  EXPECT_NO_THROW(static_cast<void>(
+      service_vip(static_cast<net::ServiceId>((1ULL << 24) - 1))));
 }
 
 // ---- refresh_endpoints: LB state survives scale events -------------------

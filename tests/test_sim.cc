@@ -589,8 +589,8 @@ INSTANTIATE_TEST_SUITE_P(Loads, CpuLoadSweep,
                          ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9));
 
 TEST(EventLoop, SlotReuseKeepsOrdering) {
-  // The indexed event heap recycles slab slots through a free list; after
-  // draining and refilling the loop, ordering must still follow (when, seq).
+  // The event loop recycles slab slots through a free list; after draining
+  // and refilling the loop, ordering must still follow (when, insertion).
   EventLoop loop;
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
@@ -711,9 +711,15 @@ class RealLoop {
 /// next_event_time(). The mix holds post and schedule at past, current and
 /// future times, cancels of random events (fired, pending or already
 /// cancelled), self-cancels, same-tick sibling cancels, nested scheduling
-/// from callbacks and run_until deadlines, past ones included. The draws
-/// depend only on what the loop has done so far, so two loops that agree
-/// are driven identically.
+/// from callbacks and run_until deadlines, past ones included. Future times
+/// span every bucket of the radix queue: a few ns, µs, ms, hours, and
+/// absolute times around 2^62 ns. Far events cancelled at once leave a
+/// bucket holding only cancelled entries for next_event_time() to report.
+/// Deadlines also land just past the earliest pending event, ahead of the
+/// rest of its bucket, or far ahead of everything due, so later posts face
+/// a clock that has moved past the last event run. The draws depend only
+/// on what the loop has done so far, so two loops that agree are driven
+/// identically.
 template <typename Loop>
 std::vector<std::array<std::int64_t, 3>> drive_random_mix(std::uint64_t seed) {
   enum : std::int64_t { kFire, kPending, kStep };
@@ -721,11 +727,25 @@ std::vector<std::array<std::int64_t, 3>> drive_random_mix(std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::array<std::int64_t, 3>> log;
   std::vector<typename Loop::Handle> handles;
+  // A few multiples of a scale plus a jitter of a few ns: wide offsets
+  // that still tie often.
+  auto pick_span = [&] {
+    constexpr std::array<Duration, 4> kScales{1, kMicrosecond, kMillisecond,
+                                              kHour};
+    return rng.uniform_int(1, 4) *
+               kScales[static_cast<std::size_t>(rng.uniform_int(0, 3))] +
+           rng.uniform_int(0, 2);
+  };
   // Offsets cluster on a few ticks, so same-time ties are common.
   auto pick_time = [&] {
-    const std::int64_t kind = rng.uniform_int(0, 5);
+    const std::int64_t kind = rng.uniform_int(0, 7);
     if (kind == 0) return loop.now() - rng.uniform_int(1, 5);  // past
     if (kind <= 2) return loop.now();
+    if (kind == 6) return loop.now() + pick_span();
+    if (kind == 7) {  // around 2^62 ns: past (clamped) once now() is there
+      return (TimePoint{1} << 62) + rng.uniform_int(-2, 2) * kHour +
+             rng.uniform_int(0, 2);
+    }
     return loop.now() + rng.uniform_int(1, 4) * (kind == 5 ? 50 : 1);
   };
   std::function<void(int)> act;
@@ -755,7 +775,7 @@ std::vector<std::array<std::int64_t, 3>> drive_random_mix(std::uint64_t seed) {
     }
   };
   act = [&](int depth) {
-    switch (rng.uniform_int(0, 5)) {
+    switch (rng.uniform_int(0, 6)) {
       case 0:
         add(pick_time(), false, depth, -1);
         break;
@@ -777,6 +797,10 @@ std::vector<std::array<std::int64_t, 3>> drive_random_mix(std::uint64_t seed) {
           loop.cancel(handles[id]);
         }
         break;
+      case 6:  // a far event cancelled at once
+        add(loop.now() + rng.uniform_int(1, 4) * kHour, true, depth, -1);
+        loop.cancel(handles.back());
+        break;
       default:
         if (!handles.empty()) {
           const auto id = static_cast<std::size_t>(rng.uniform_int(
@@ -790,11 +814,16 @@ std::vector<std::array<std::int64_t, 3>> drive_random_mix(std::uint64_t seed) {
   for (int step = 0; step < 400; ++step) {
     for (std::int64_t n = rng.uniform_int(1, 6); n > 0; --n) act(0);
     std::size_t ran = 0;
-    const std::int64_t how = rng.uniform_int(0, 9);
+    const std::int64_t how = rng.uniform_int(0, 11);
     if (how == 0) {
       ran = loop.run();
     } else if (how == 1) {
       ran = loop.run_until(loop.now() - rng.uniform_int(0, 3));
+    } else if (how == 2) {  // just past the earliest event, not its bucket
+      ran = loop.run_until(loop.next_event_time().value_or(loop.now()) +
+                           rng.uniform_int(0, 2));
+    } else if (how == 3) {
+      ran = loop.run_until(loop.now() + pick_span());
     } else {
       ran = loop.run_until(loop.now() + rng.uniform_int(0, 120));
     }
@@ -821,6 +850,27 @@ TEST(EventLoop, MatchesReferenceModelOnRandomMix) {
                             [](const auto& r) { return r[0] == 0; }),
               1000);
   }
+}
+
+TEST(EventLoop, CancelledEntriesInAHighBucketStillBoundNextEventTime) {
+  EventLoop loop;
+  int runs = 0;
+  loop.post(1, [&runs] { ++runs; });
+  EventHandle far = loop.schedule_at(kHour, [&runs] { ++runs; });
+  EventHandle farther = loop.schedule_at(2 * kHour, [&runs] { ++runs; });
+  EXPECT_EQ(loop.run_until(10), 1u);
+  far.cancel();
+  farther.cancel();
+  // Only cancelled entries remain, far above the last event run; they
+  // still count until they pop, like a heap's lazily deleted keys.
+  EXPECT_EQ(loop.pending_events(), 2u);
+  EXPECT_EQ(loop.next_event_time(), std::optional<TimePoint>(kHour));
+  EXPECT_EQ(loop.run_until(kHour), 0u);
+  EXPECT_EQ(loop.next_event_time(), std::optional<TimePoint>(2 * kHour));
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_EQ(loop.next_event_time(), std::nullopt);
+  EXPECT_EQ(loop.now(), 2 * kHour);
+  EXPECT_EQ(runs, 1);
 }
 
 TEST(EventLoop, CallbackGrowingTheSlabRunsInPlace) {
