@@ -87,7 +87,7 @@ void CanalMesh::install() {
       vnis_[service->id] = vni;
       gateway_.register_service(*service, vni);
     }
-    if (gateway_.placement_of(service->id).empty()) {
+    if (gateway_.placement_view(service->id).empty()) {
       const net::AzId home_az = service->endpoints.empty()
                                     ? static_cast<net::AzId>(0)
                                     : service->endpoints.front()->node().az();
@@ -101,7 +101,7 @@ void CanalMesh::on_pod_created(k8s::Pod& pod) {
   k8s::Service* service = cluster_.find_service(pod.service());
   if (service == nullptr) return;
   install();
-  for (GatewayBackend* backend : gateway_.placement_of(service->id)) {
+  for (GatewayBackend* backend : gateway_.placement_view(service->id)) {
     backend->refresh_endpoints(*service);
   }
 }
@@ -122,7 +122,7 @@ void CanalMesh::apply_endpoint_health(net::ServiceId service,
                                       std::uint64_t endpoint_key,
                                       bool healthy) {
   const std::string cluster_name = mesh::service_cluster_name(service);
-  for (GatewayBackend* backend : gateway_.placement_of(service)) {
+  for (GatewayBackend* backend : gateway_.placement_view(service)) {
     for (std::size_t i = 0; i < backend->replica_count(); ++i) {
       if (proxy::UpstreamCluster* c =
               backend->replica(i)->engine().clusters().find(cluster_name)) {
@@ -180,8 +180,6 @@ void CanalMesh::send_request(const mesh::RequestOptions& opts,
     finish_request(st, 500);
     return;
   }
-  st->client_proxy->record_pod_traffic(opts.client->id(),
-                                       st->req.wire_size());
 
   if (config_.network.dropped(rng_, st->start)) {
     // Lost on the wire: `done` never fires; only a per-try timeout in the
@@ -280,8 +278,6 @@ void CanalMesh::deliver_to_server(RequestState* st) {
           self.finish_request(st, status);
           return;
         }
-        st->server_proxy->record_pod_traffic(st->target->id(),
-                                             st->req.wire_size());
         st->app_start = self.loop_.now();
         st->target->handle_request(st->req, [st](http::Response& resp) {
           CanalMesh& self = *st->self;
@@ -392,8 +388,7 @@ std::vector<k8s::ConfigTarget> CanalMesh::pod_create_targets(
   }
   for (const auto service_id : affected) {
     const k8s::Service* service = gateway_.service_object(service_id);
-    for (GatewayBackend* backend :
-         const_cast<MeshGateway&>(gateway_).placement_of(service_id)) {
+    for (GatewayBackend* backend : gateway_.placement_view(service_id)) {
       targets.push_back(
           {"gw-backend-" + std::to_string(net::id_value(backend->id())),
            service != nullptr ? mesh::service_config_bytes(*service) : 512});

@@ -718,7 +718,12 @@ bool MeshGateway::install_service(const k8s::Service& service,
     combination = std::move(fallback);
   }
 
-  std::vector<net::BackendId> placement = *combination;
+  std::vector<GatewayBackend*> placement;
+  for (const auto backend_id : *combination) {
+    if (GatewayBackend* backend = find_backend(backend_id)) {
+      placement.push_back(backend);
+    }
+  }
   // Remote copies: least-loaded (fewest services) backends in other AZs.
   for (auto& az : azs_) {
     if (az.id == home_az) continue;
@@ -736,13 +741,10 @@ bool MeshGateway::install_service(const k8s::Service& service,
     for (std::size_t i = 0;
          i < config_.backends_per_service_remote && i < candidates.size();
          ++i) {
-      placement.push_back(candidates[i]->id());
+      placement.push_back(candidates[i]);
     }
   }
-  for (const auto backend_id : placement) {
-    GatewayBackend* backend = find_backend(backend_id);
-    if (backend != nullptr) backend->install_service(service);
-  }
+  for (GatewayBackend* backend : placement) backend->install_service(service);
   placements_[service.id] = std::move(placement);
   return true;
 }
@@ -750,24 +752,18 @@ bool MeshGateway::install_service(const k8s::Service& service,
 void MeshGateway::remove_service(net::ServiceId service) {
   const auto it = placements_.find(service);
   if (it != placements_.end()) {
-    for (const auto backend_id : it->second) {
-      GatewayBackend* backend = find_backend(backend_id);
-      if (backend != nullptr) backend->remove_service(service);
+    for (GatewayBackend* backend : it->second) {
+      backend->remove_service(service);
     }
     placements_.erase(it);
   }
 }
 
-std::vector<GatewayBackend*> MeshGateway::placement_of(
-    net::ServiceId service) {
-  std::vector<GatewayBackend*> out;
+std::span<GatewayBackend* const> MeshGateway::placement_view(
+    net::ServiceId service) const {
   const auto it = placements_.find(service);
-  if (it == placements_.end()) return out;
-  for (const auto backend_id : it->second) {
-    GatewayBackend* backend = find_backend(backend_id);
-    if (backend != nullptr) out.push_back(backend);
-  }
-  return out;
+  if (it == placements_.end()) return {};
+  return it->second;
 }
 
 void MeshGateway::extend_service(net::ServiceId service,
@@ -776,9 +772,9 @@ void MeshGateway::extend_service(net::ServiceId service,
   if (object == nullptr) return;
   backend.install_service(*object);
   auto& placement = placements_[service];
-  if (std::find(placement.begin(), placement.end(), backend.id()) ==
+  if (std::find(placement.begin(), placement.end(), &backend) ==
       placement.end()) {
-    placement.push_back(backend.id());
+    placement.push_back(&backend);
   }
 }
 
@@ -787,8 +783,9 @@ void MeshGateway::retract_service(net::ServiceId service,
   backend.remove_service(service);
   auto it = placements_.find(service);
   if (it != placements_.end()) {
-    auto& ids = it->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), backend.id()), ids.end());
+    auto& placement = it->second;
+    placement.erase(std::remove(placement.begin(), placement.end(), &backend),
+                    placement.end());
   }
 }
 
@@ -799,27 +796,21 @@ void MeshGateway::move_to_sandbox(net::ServiceId service, net::AzId az_id) {
   // Remove from regular backends, keep only the sandbox placement.
   const auto it = placements_.find(service);
   if (it != placements_.end()) {
-    for (const auto backend_id : it->second) {
-      GatewayBackend* backend = find_backend(backend_id);
-      if (backend != nullptr && backend != box) {
-        backend->remove_service(service);
-      }
+    for (GatewayBackend* backend : it->second) {
+      if (backend != box) backend->remove_service(service);
     }
   }
   box->install_service(*object);
-  placements_[service] = {box->id()};
+  placements_[service] = {box};
 }
 
 GatewayBackend* MeshGateway::resolve(net::ServiceId service,
                                      net::AzId client_az) {
-  const auto it = placements_.find(service);
-  if (it == placements_.end()) return nullptr;
   GatewayBackend* local_best = nullptr;
   double local_best_utilization = 0.0;
   GatewayBackend* remote_best = nullptr;
-  for (const auto backend_id : it->second) {
-    GatewayBackend* backend = find_backend(backend_id);
-    if (backend == nullptr || !backend->alive()) continue;
+  for (GatewayBackend* backend : placement_view(service)) {
+    if (!backend->alive()) continue;
     if (backend->az() == client_az) {
       // Lowest water level among healthy local backends.
       const double utilization = backend->cpu_utilization(sim::seconds(5));

@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -405,8 +406,18 @@ class MeshGateway {
   /// remote copies in every other AZ, then installs configuration.
   bool install_service(const k8s::Service& service, net::AzId home_az);
   void remove_service(net::ServiceId service);
+  /// The backends hosting `service`, in placement order (empty when
+  /// unplaced). A view of the stored placement: any placement change
+  /// (install, extend, retract, move, remove) invalidates it.
+  [[nodiscard]] std::span<GatewayBackend* const> placement_view(
+      net::ServiceId service) const;
+  /// A copy of placement_view(), safe to hold or iterate across a
+  /// placement change.
   [[nodiscard]] std::vector<GatewayBackend*> placement_of(
-      net::ServiceId service);
+      net::ServiceId service) const {
+    const auto view = placement_view(service);
+    return {view.begin(), view.end()};
+  }
 
   /// Extends a service onto one more backend (precise scaling "Reuse"/"New").
   void extend_service(net::ServiceId service, GatewayBackend& backend);
@@ -478,7 +489,8 @@ class MeshGateway {
   std::vector<GatewayBackend*> backends_by_id_;
   net::VSwitch vswitch_;
   sim::Pool<DispatchState> dispatches_;
-  sim::FlatHashMap<net::ServiceId, std::vector<net::BackendId>, net::IdHash>
+  /// Backends are never removed, so stored pointers stay valid.
+  sim::FlatHashMap<net::ServiceId, std::vector<GatewayBackend*>, net::IdHash>
       placements_;
   sim::FlatHashMap<net::ServiceId, const k8s::Service*, net::IdHash>
       service_objects_;

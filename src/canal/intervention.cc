@@ -12,7 +12,7 @@ void MigrationController::migrate_lossy(net::ServiceId service,
   record.started = loop_.now();
 
   // Reset all sessions of the service, then rebuild in the sandbox.
-  for (GatewayBackend* backend : gateway_.placement_of(service)) {
+  for (GatewayBackend* backend : gateway_.placement_view(service)) {
     record.sessions_reset += backend->reset_service_sessions(service);
   }
   gateway_.move_to_sandbox(service, az);
@@ -32,7 +32,7 @@ void MigrationController::migrate_lossless(net::ServiceId service,
   record.started = loop_.now();
 
   std::vector<net::BackendId> old_backends;
-  for (GatewayBackend* backend : gateway_.placement_of(service)) {
+  for (GatewayBackend* backend : gateway_.placement_view(service)) {
     old_backends.push_back(backend->id());
   }
   // New sessions route to the sandbox from now on; existing flows keep
@@ -193,7 +193,7 @@ void TenantGuard::sweep() {
     // Protect the user's cluster: throttle its services at the gateway.
     throttling_ = true;
     for (const auto& service : cluster_.services()) {
-      for (GatewayBackend* backend : gateway_.placement_of(service->id)) {
+      for (GatewayBackend* backend : gateway_.placement_view(service->id)) {
         const double rps = backend->stats_for(service->id).rps(loop_.now());
         backend->set_throttle(service->id,
                               std::max(1.0, rps * config_.throttle_fraction));
@@ -202,7 +202,7 @@ void TenantGuard::sweep() {
   } else if (throttling_ && util <= config_.cluster_recovered_utilization) {
     throttling_ = false;
     for (const auto& service : cluster_.services()) {
-      for (GatewayBackend* backend : gateway_.placement_of(service->id)) {
+      for (GatewayBackend* backend : gateway_.placement_view(service->id)) {
         backend->clear_throttle(service->id);
       }
     }

@@ -64,14 +64,4 @@ void OnNodeProxy::attach_key_server(crypto::KeyServer* server) {
   }
 }
 
-void OnNodeProxy::record_pod_traffic(net::PodId pod, std::uint64_t bytes) {
-  pod_bytes_[pod] += bytes;
-  total_bytes_ += bytes;
-}
-
-std::uint64_t OnNodeProxy::pod_traffic(net::PodId pod) const {
-  const auto it = pod_bytes_.find(pod);
-  return it == pod_bytes_.end() ? 0 : it->second;
-}
-
 }  // namespace canal::core

@@ -20,7 +20,6 @@
 #include "sim/callback.h"
 #include "sim/cpu.h"
 #include "sim/event_loop.h"
-#include "sim/flat_map.h"
 
 namespace canal::core {
 
@@ -51,14 +50,6 @@ class OnNodeProxy {
   /// fallback path).
   void attach_key_server(crypto::KeyServer* server);
 
-  /// L4 observability: per-pod traffic accounting (the on-node proxy must
-  /// label traffic per pod since it is shared by all pods on the node).
-  void record_pod_traffic(net::PodId pod, std::uint64_t bytes);
-  [[nodiscard]] std::uint64_t pod_traffic(net::PodId pod) const;
-  [[nodiscard]] std::uint64_t total_observed_bytes() const noexcept {
-    return total_bytes_;
-  }
-
   /// Minimal config footprint for the controller (identity material only —
   /// no traffic-control rules live here).
   [[nodiscard]] static constexpr std::size_t config_bytes() { return 192; }
@@ -72,8 +63,6 @@ class OnNodeProxy {
   /// Engine continuations parked while their handshake signs.
   sim::Pool<sim::Callback> handshakes_;
   std::unique_ptr<proxy::ProxyEngine> engine_;
-  sim::FlatHashMap<net::PodId, std::uint64_t, net::IdHash> pod_bytes_;
-  std::uint64_t total_bytes_ = 0;
 };
 
 }  // namespace canal::core

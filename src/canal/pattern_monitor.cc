@@ -68,7 +68,7 @@ void TrafficPatternMonitor::poll_drain(std::size_t index) {
   if (source == nullptr || source->sessions_for(service) == 0) {
     // Source drained: retire its copy of the service — unless that would
     // leave the service with fewer than two placements (availability).
-    if (source != nullptr && gateway_.placement_of(service).size() > 2) {
+    if (source != nullptr && gateway_.placement_view(service).size() > 2) {
       gateway_.retract_service(service, *source);
     }
     migrations_[index].completed = loop_.now();

@@ -60,7 +60,7 @@ std::size_t ProxylessMesh::install() {
       vnis_[service->id] = vni;
       gateway_.register_service(*service, vni);
     }
-    if (gateway_.placement_of(service->id).empty()) {
+    if (gateway_.placement_view(service->id).empty()) {
       const net::AzId home_az = service->endpoints.empty()
                                     ? static_cast<net::AzId>(0)
                                     : service->endpoints.front()->node().az();
@@ -84,7 +84,7 @@ void ProxylessMesh::apply_endpoint_health(net::ServiceId service,
                                           std::uint64_t endpoint_key,
                                           bool healthy) {
   const std::string cluster_name = mesh::service_cluster_name(service);
-  for (GatewayBackend* backend : gateway_.placement_of(service)) {
+  for (GatewayBackend* backend : gateway_.placement_view(service)) {
     for (std::size_t i = 0; i < backend->replica_count(); ++i) {
       if (proxy::UpstreamCluster* c =
               backend->replica(i)->engine().clusters().find(cluster_name)) {
@@ -291,8 +291,7 @@ std::vector<k8s::ConfigTarget> ProxylessMesh::pod_create_targets(
   }
   for (const auto service_id : affected) {
     const k8s::Service* service = gateway_.service_object(service_id);
-    for (GatewayBackend* backend :
-         const_cast<MeshGateway&>(gateway_).placement_of(service_id)) {
+    for (GatewayBackend* backend : gateway_.placement_view(service_id)) {
       targets.push_back(
           {"gw-backend-" + std::to_string(net::id_value(backend->id())),
            service != nullptr ? mesh::service_config_bytes(*service) : 512});

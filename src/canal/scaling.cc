@@ -114,7 +114,7 @@ void PreciseScaler::scale_service(net::ServiceId service, GatewayBackend& hot,
   // Precise sizing: enough backends that the service's current load,
   // spread over the new placement, lands below the safety threshold.
   const double util = hot.cpu_utilization(sim::seconds(5));
-  const auto placement = gateway_.placement_of(service);
+  const auto placement = gateway_.placement_view(service);
   const auto current = std::max<std::size_t>(1, placement.size());
   const auto wanted = static_cast<std::size_t>(std::ceil(
       util * static_cast<double>(current) / config_.safety_threshold));

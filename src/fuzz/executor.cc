@@ -417,13 +417,13 @@ void refresh_service_everywhere(World& w, k8s::Service& service) {
     }
     default: {
       for (core::GatewayBackend* backend :
-           w.gateway->placement_of(service.id)) {
+           w.gateway->placement_view(service.id)) {
         backend->refresh_endpoints(service);
       }
       for (const auto& sp : w.spec.splits) {
         if (w.services[sp.canary_service] != &service) continue;
         for (core::GatewayBackend* backend :
-             w.gateway->placement_of(w.services[sp.service]->id)) {
+             w.gateway->placement_view(w.services[sp.service]->id)) {
           backend->refresh_endpoints(service);
         }
       }
@@ -476,7 +476,7 @@ void apply_extend_service(World& w, const EventSpec& ev) {
 void apply_retract_service(World& w, const EventSpec& ev) {
   if (!w.has_gateway()) return;
   const net::ServiceId id = w.services[ev.service]->id;
-  auto placement = w.gateway->placement_of(id);
+  auto placement = w.gateway->placement_view(id);
   if (placement.size() < 2) return;  // keep the service resolvable
   w.gateway->retract_service(id, *placement.back());
 }

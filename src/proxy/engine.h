@@ -164,7 +164,7 @@ class ProxyEngine {
  private:
   /// Per-flow memo of the routing decision: the matched first rule (L7)
   /// and the resolved upstream-cluster handles, validated against the
-  /// combined route/endpoint/session epoch. Only the table's *first* rule
+  /// combined route/endpoint epoch. Only the table's *first* rule
   /// is ever cached and its match is re-verified per request, so
   /// first-match-wins semantics (and the exact RNG draw sequence) are
   /// preserved — a hit changes wall-clock work only, never simulated
@@ -229,9 +229,11 @@ class ProxyEngine {
                       telemetry::Trace* trace);
 
   /// Combined invalidation epoch: any route-table install, cluster or
-  /// endpoint membership change, or actual session drop moves it forward.
+  /// endpoint membership change moves it forward. A session drop leaves it
+  /// alone: an entry caches only the route rule and cluster pointers, which
+  /// no session owns (DESIGN.md §9).
   [[nodiscard]] std::uint64_t fastpath_epoch() const noexcept {
-    return route_epoch_ + clusters_.version() + sessions_.drop_epoch();
+    return route_epoch_ + clusters_.version();
   }
 
   sim::EventLoop& loop_;

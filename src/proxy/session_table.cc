@@ -32,7 +32,6 @@ const Session* SessionTable::find(const net::FiveTuple& tuple) const {
 
 bool SessionTable::remove(const net::FiveTuple& tuple) {
   if (sessions_.erase(tuple) == 0) return false;
-  ++drop_epoch_;
   if (sessions_.empty()) {
     idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
   }
@@ -56,7 +55,6 @@ std::size_t SessionTable::expire_idle(sim::TimePoint now,
     }
   }
   idle_floor_ = floor;
-  if (dropped > 0) ++drop_epoch_;
   return dropped;
 }
 
@@ -64,7 +62,6 @@ std::size_t SessionTable::clear() noexcept {
   const std::size_t n = sessions_.size();
   sessions_.clear();
   idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
-  if (n > 0) ++drop_epoch_;
   return n;
 }
 
@@ -94,7 +91,6 @@ std::size_t SessionTable::remove_for(net::ServiceId service) {
       ++dropped;
     }
   }
-  if (dropped > 0) ++drop_epoch_;
   if (sessions_.empty()) {
     idle_floor_ = std::numeric_limits<sim::TimePoint>::max();
   }

@@ -84,15 +84,6 @@ class SessionTable {
                                              sim::TimePoint now,
                                              sim::Duration age) const;
 
-  /// Monotonic counter bumped whenever session state is actually dropped
-  /// (remove of an existing session, idle expiry, clear, remove_for). The
-  /// proxy fastpath cache validates against this, so any session
-  /// reset/expiry forces cached flow decisions to be re-derived. Removes
-  /// that drop nothing (e.g. closing a sessionless flow) do not bump it.
-  [[nodiscard]] std::uint64_t drop_epoch() const noexcept {
-    return drop_epoch_;
-  }
-
  private:
   std::size_t capacity_;
   // Flat open-addressing table: the per-request insert/touch/find path is
@@ -100,7 +91,6 @@ class SessionTable {
   // expiry) aggregate order-independently, so the hash order is safe.
   sim::FlatHashMap<net::FiveTuple, Session> sessions_;
   std::uint64_t rejected_ = 0;
-  std::uint64_t drop_epoch_ = 0;
   /// Lower bound on every live session's last_active; the largest
   /// TimePoint exactly when the table is empty. An insert into an empty
   /// table sets it to now (otherwise it is already at most now); touch

@@ -52,31 +52,39 @@ inline Duration CpuCore::busy_through(TimePoint t) const {
   // time before its first interval out of the prefix sums and add that
   // interval's part before `t` (its start is implied by its end and its
   // share of the prefix sum). Integer arithmetic, so windows read exactly.
-  // An idle core, a busy core read at now, and a window reaching past the
-  // history need no search.
+  // An idle core, and a window reaching back past the oldest retained
+  // interval (as every window of a run younger than the window does), need
+  // no search. Otherwise gallop back from the newest interval to bracket
+  // the first one ending after `t`, then bisect the bracket: a read costs
+  // O(log k) in the k intervals ending after `t` (a window's own
+  // population), however long the history behind it.
   const std::size_t n = intervals_.size();
   if (n == 0) return dropped_cum_;
-  const Interval& back = intervals_.back();
-  if (back.end <= t) return back.cum;
-  std::size_t first = n - 1;
-  Duration before = dropped_cum_;
-  if (first > 0) {
-    const Interval& prev = intervals_[first - 1];
-    before = prev.cum;
-    if (prev.end > t) {
-      first = 0;
-      before = dropped_cum_;
-      if (intervals_.front().end <= t) {
-        for (std::size_t step = n; step > 0; step /= 2) {  // first end > t
-          while (first + step <= n && intervals_[first + step - 1].end <= t) {
-            first += step;
-          }
-        }
-        before = intervals_[first - 1].cum;
+  if (intervals_[n - 1].end <= t) return intervals_[n - 1].cum;
+  std::size_t lo = 0;      // every interval before lo ends at or before t
+  std::size_t hi = n - 1;  // intervals_[hi] ends after t
+  if (intervals_[0].end > t) {
+    hi = 0;
+  } else {
+    lo = 1;
+    for (std::size_t step = 1; step <= hi - lo; step *= 2) {
+      if (intervals_[hi - step].end <= t) {
+        lo = hi - step + 1;
+        break;
       }
+      hi -= step;
     }
   }
-  const Interval& at = intervals_[first];
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (intervals_[mid].end <= t) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const Duration before = hi == 0 ? dropped_cum_ : intervals_[hi - 1].cum;
+  const Interval& at = intervals_[hi];
   const TimePoint start = at.end - (at.cum - before);
   return start < t ? before + (t - start) : before;
 }

@@ -134,9 +134,9 @@ class CpuCore {
   std::uint64_t jobs_ = 0;
   // Busy intervals, each carrying the prefix sum of busy time through it
   // (including pruned intervals, via dropped_cum_). A utilization query then
-  // reduces to one binary search plus integer subtraction instead of a
-  // linear walk over the window — the walk was O(window-population) per
-  // query and dominated the gateway's per-request placement scoring. One
+  // reduces to two searches from the newest interval (busy_through) plus
+  // integer subtraction, each O(log k) in the intervals inside the window
+  // rather than in the whole history, which long runs fill. One
   // 16-byte record per interval: a push writes one slot of one buffer.
   // RingDeque keeps the steady-state slide (push_back/pop_front)
   // allocation-free.

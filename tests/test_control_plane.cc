@@ -163,10 +163,13 @@ TEST(ConfigPropagation, EpochMonotonicityPerProxy) {
     std::vector<EpochTarget> targets;
     for (int p = 0; p < 3; ++p) {
       const std::string name = "proxy-" + std::to_string(p);
-      targets.push_back({{name, 5'000},
-                         [&propagation, &seen, p, name] {
-                           seen[p].push_back(propagation.acked_epoch(name));
-                         }});
+      // Filled in place: a braced EpochTarget temporary trips GCC 12's
+      // -Wmaybe-uninitialized on its string's destructor.
+      EpochTarget& target = targets.emplace_back();
+      target.target = {name, 5'000};
+      target.apply = [&propagation, &seen, p, name] {
+        seen[p].push_back(propagation.acked_epoch(name));
+      };
     }
     propagation.push_epoch(std::move(targets));
   }
@@ -194,16 +197,17 @@ TEST(ConfigPropagation, StaleWindowNeverExceedsOneEpoch) {
   for (int e = 1; e <= 3; ++e) {
     std::vector<EpochTarget> targets;
     for (const std::string& name : names) {
-      targets.push_back(
-          {{name, 8'000}, [&propagation, &names, &window_held, e] {
-             for (const std::string& other : names) {
-               if (propagation.acked_epoch(other) + 1 <
-                   static_cast<std::uint64_t>(e)) {
-                 window_held = false;
-               }
-             }
-             if (propagation.epoch_skew() > 1) window_held = false;
-           }});
+      EpochTarget& target = targets.emplace_back();
+      target.target = {name, 8'000};
+      target.apply = [&propagation, &names, &window_held, e] {
+        for (const std::string& other : names) {
+          if (propagation.acked_epoch(other) + 1 <
+              static_cast<std::uint64_t>(e)) {
+            window_held = false;
+          }
+        }
+        if (propagation.epoch_skew() > 1) window_held = false;
+      };
     }
     propagation.push_epoch(std::move(targets));
   }
@@ -297,7 +301,9 @@ TEST(ConfigPropagation, MeshConfigAppliesOnlyAtDelivery) {
   ASSERT_EQ(apply_times.size(), 4u);
   for (std::size_t i = 0; i < apply_times.size(); ++i) {
     EXPECT_GT(apply_times[i], issued);  // nonzero propagation delay
-    if (i > 0) EXPECT_GT(apply_times[i], apply_times[i - 1]);  // FIFO
+    if (i > 0) {
+      EXPECT_GT(apply_times[i], apply_times[i - 1]);  // FIFO
+    }
   }
   EXPECT_EQ(mid_rollout_skew, 1u);  // fleet disagreed mid-rollout
   EXPECT_TRUE(propagation.converged());

@@ -9,6 +9,7 @@
 #include "http/parser.h"
 #include "http/route.h"
 #include "sim/rng.h"
+#include "tests/testutil.h"
 
 namespace canal::http {
 namespace {
@@ -426,9 +427,9 @@ TEST(RouteTable, ConfigBytesGrowWithRules) {
   RouteTable large = canary_table();
   for (int i = 0; i < 10; ++i) {
     RouteRule rule;
-    rule.name = "extra-" + std::to_string(i);
-    rule.match.path = "/extra/" + std::to_string(i);
-    rule.action.clusters = {{"c" + std::to_string(i), 1}};
+    rule.name = testutil::numbered("extra-", i);
+    rule.match.path = testutil::numbered("/extra/", i);
+    rule.action.clusters = {{testutil::numbered("c", i), 1}};
     large.add_rule(rule);
   }
   EXPECT_GT(large.config_bytes(), small.config_bytes());

@@ -11,6 +11,7 @@
 #include "k8s/health.h"
 #include "k8s/objects.h"
 #include "sim/rng.h"
+#include "tests/testutil.h"
 
 namespace canal::k8s {
 namespace {
@@ -157,8 +158,8 @@ TEST(Cluster, FindServiceByIdIndexesTheLowBits) {
   Cluster other(loop, static_cast<net::TenantId>(2), sim::Rng(137));
   std::vector<Service*> services;
   for (int i = 0; i < 12; ++i) {
-    services.push_back(&cluster.add_service("s" + std::to_string(i)));
-    other.add_service("t" + std::to_string(i));
+    services.push_back(&cluster.add_service(testutil::numbered("s", i)));
+    other.add_service(testutil::numbered("t", i));
   }
   for (Service* service : services) {
     EXPECT_EQ(cluster.find_service(service->id), service);

@@ -202,7 +202,6 @@ TEST_P(SessionTableSweep, ExpiryMatchesNaiveScan) {
   sim::Rng rng(GetParam());
   proxy::SessionTable table(kCapacity);
   std::map<std::int64_t, Ref> ref;
-  std::uint64_t ref_epoch = 0;
   sim::TimePoint now = 0;
   for (int step = 0; step < 3000; ++step) {
     now += sim::seconds(static_cast<double>(rng.uniform_int(0, 4)));
@@ -226,7 +225,6 @@ TEST_P(SessionTableSweep, ExpiryMatchesNaiveScan) {
       }
       case 3: {
         const bool erased = ref.erase(port) > 0;
-        if (erased) ++ref_epoch;
         ASSERT_EQ(table.remove(tuple_of(port)), erased) << step;
         break;
       }
@@ -240,13 +238,11 @@ TEST_P(SessionTableSweep, ExpiryMatchesNaiveScan) {
             ++it;
           }
         }
-        if (dropped > 0) ++ref_epoch;
         ASSERT_EQ(table.remove_for(service), dropped) << step;
         break;
       }
       case 5: {
         if (rng.uniform_int(0, 19) != 0) break;  // rare: keep tables full
-        if (!ref.empty()) ++ref_epoch;
         const std::size_t dropped = ref.size();
         ref.clear();
         ASSERT_EQ(table.clear(), dropped) << step;
@@ -264,12 +260,10 @@ TEST_P(SessionTableSweep, ExpiryMatchesNaiveScan) {
             ++it;
           }
         }
-        if (dropped > 0) ++ref_epoch;
         ASSERT_EQ(table.expire_idle(now, timeout), dropped) << step;
         break;
       }
     }
-    ASSERT_EQ(table.drop_epoch(), ref_epoch) << step;
     ASSERT_EQ(table.size(), ref.size()) << step;
     for (std::int64_t p = 0; p < kPorts; ++p) {
       const proxy::Session* found = table.find(tuple_of(p));

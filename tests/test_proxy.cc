@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "http/route.h"
@@ -539,10 +540,11 @@ bool fastpath_request(EngineFixture& fx, ProxyEngine& engine,
   return engine.fastpath_hits() != hits;
 }
 
-// Drives an engine through `flows` seeded flows, bumping the fastpath
-// epoch every couple of requests per flow in rotation — a route install,
-// an endpoint change, a session drop — and compares every request's hit
-// or miss with the 4096-slot reference. Returns the memo's final size.
+// Drives an engine through `flows` seeded flows, changing the engine every
+// couple of requests per flow in rotation — a route install and an
+// endpoint change, which bump the fastpath epoch, and a session drop,
+// which does not — and compares every request's hit or miss with the
+// 4096-slot reference. Returns the memo's final size.
 std::size_t check_fastpath_against_reference(bool l7, std::uint32_t flows,
                                              std::uint64_t seed) {
   EngineFixture fx;
@@ -579,10 +581,8 @@ std::size_t check_fastpath_against_reference(bool l7, std::uint32_t flows,
         default: {
           const auto i = static_cast<std::uint32_t>(
               rng.uniform_int(0, flows - 1));
-          const std::uint64_t drops = engine->sessions().drop_epoch();
           engine->close_connection(client_flow(i));
           open[i] = false;
-          if (engine->sessions().drop_epoch() != drops) ++epoch;
           break;
         }
       }
@@ -642,6 +642,96 @@ TEST(EngineFastpathMemo, PinnedFlowsKeepTheMemoSmall) {
   // Round 0 and the five rounds that open with a route install miss.
   EXPECT_EQ(engine->fastpath_hits(), 8u * (50u - 6u));
   EXPECT_LE(engine->fastpath_slots(), 64u);
+}
+
+TEST(EngineFastpathMemo, SessionDropKeepsRouteDecision) {
+  // Two engines built alike see the same requests. After a session drop
+  // (close, then idle expiry) the memoized engine must serve the flow's
+  // next request from its memo; the reference reinstalls its routes at the
+  // same point, so it misses. Both must agree on every outcome: a memo
+  // entry holds only the rule and cluster pointers, never session state.
+  const auto weighted_table = [] {
+    http::RouteTable table;
+    http::RouteRule rule;
+    rule.match.path_kind = http::RouteMatch::PathKind::kPrefix;
+    rule.match.path = "/";
+    rule.action.clusters = {{"stable", 3}, {"canary", 1}};
+    table.add_rule(rule);
+    return table;
+  };
+  EngineFixture memo_fx;
+  EngineFixture ref_fx;
+  auto memo = memo_fx.make_engine();
+  auto ref = ref_fx.make_engine();
+  for (ProxyEngine* engine : {memo.get(), ref.get()}) {
+    engine->set_route_table(kService, weighted_table());
+    auto& stable = engine->clusters().add_cluster("stable");
+    stable.add_endpoint({net::Ipv4Addr(10, 0, 1, 1), 8080}, 11);
+    stable.add_endpoint({net::Ipv4Addr(10, 0, 1, 2), 8080}, 12);
+    engine->clusters()
+        .add_cluster("canary")
+        .add_endpoint({net::Ipv4Addr(10, 0, 2, 1), 8080}, 21);
+  }
+  const net::FiveTuple flow = tuple_of(7);
+  struct Seen {
+    bool ok = false;
+    int status = 0;
+    std::string cluster;
+    std::uint64_t endpoint = 0;
+    bool operator==(const Seen&) const = default;
+  };
+  const auto send = [&](EngineFixture& fx, ProxyEngine& engine,
+                        bool new_connection) {
+    http::Request req;
+    req.path = "/api";
+    Seen seen;
+    engine.handle_request(flow, kService, new_connection, req,
+                          [&](ProxyEngine::RequestOutcome o) {
+                            seen = {o.ok, o.status, std::string(o.cluster),
+                                    o.endpoint != nullptr ? o.endpoint->key
+                                                          : 0};
+                          });
+    fx.loop.run();
+    return seen;
+  };
+  // Sends `n` requests on the flow to both engines; the first opens a
+  // connection when `reopen`. Returns the memoized engine's hits.
+  const auto round = [&](int n, bool reopen) {
+    const std::uint64_t hits = memo->fastpath_hits();
+    for (int i = 0; i < n; ++i) {
+      const bool fresh = reopen && i == 0;
+      const Seen got = send(memo_fx, *memo, fresh);
+      const Seen want = send(ref_fx, *ref, fresh);
+      EXPECT_TRUE(got.ok);
+      EXPECT_EQ(got, want) << "request " << i;
+    }
+    return memo->fastpath_hits() - hits;
+  };
+  EXPECT_EQ(round(8, /*reopen=*/true), 7u);  // the first request misses
+
+  // A close drops the flow's session, not its route decision.
+  memo->close_connection(flow);
+  ref->close_connection(flow);
+  ASSERT_EQ(memo->sessions().size(), 0u);
+  ref->set_route_table(kService, weighted_table());
+  std::uint64_t ref_misses = ref->fastpath_misses();
+  EXPECT_EQ(round(8, /*reopen=*/true), 8u);
+  EXPECT_EQ(ref->fastpath_misses(), ref_misses + 1);
+  ASSERT_EQ(memo->sessions().size(), 1u);
+
+  // So does an idle expiry.
+  for (EngineFixture* fx : {&memo_fx, &ref_fx}) {
+    fx->loop.run_until(fx->loop.now() + sim::seconds(10));
+  }
+  EXPECT_EQ(memo->sessions().expire_idle(memo_fx.loop.now(), sim::seconds(1)),
+            1u);
+  EXPECT_EQ(ref->sessions().expire_idle(ref_fx.loop.now(), sim::seconds(1)),
+            1u);
+  ref->set_route_table(kService, weighted_table());
+  ref_misses = ref->fastpath_misses();
+  EXPECT_EQ(round(8, /*reopen=*/true), 8u);
+  EXPECT_EQ(ref->fastpath_misses(), ref_misses + 1);
+  EXPECT_EQ(memo->fastpath_misses(), 1u);
 }
 
 }  // namespace

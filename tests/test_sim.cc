@@ -1009,15 +1009,18 @@ struct NaiveCore {
   }
 
   double utilization(TimePoint now, Duration window) const {
-    if (window <= 0) return 0.0;
-    const TimePoint lo = now - window;
+    return utilization_between(now - window, now);
+  }
+
+  double utilization_between(TimePoint lo, TimePoint hi) const {
+    if (hi <= lo) return 0.0;
     Duration busy = 0;
     for (const auto& [start, end] : intervals) {
       const TimePoint from = std::max(start, lo);
-      const TimePoint to = std::min(end, now);
+      const TimePoint to = std::min(end, hi);
       if (to > from) busy += to - from;
     }
-    return static_cast<double>(busy) / static_cast<double>(window);
+    return static_cast<double>(busy) / static_cast<double>(hi - lo);
   }
 };
 
@@ -1076,6 +1079,93 @@ TEST(CpuCore, UtilizationMatchesNaiveOverlapSum) {
   EXPECT_EQ(check_utilization_against_naive(year, 3 * CpuCore::kMaxIntervals,
                                             997, 4),
             CpuCore::kMaxIntervals);
+}
+
+TEST(CpuCore, WindowReadsMatchLinearScan) {
+  // A default-history core through three phases: sparse jobs with gaps and
+  // queued (coalescing) bursts for longer than the history, so time-based
+  // pruning runs; a dense run of 1 us jobs 1 us apart, past the interval
+  // cap; sparse jobs again, until the dense run ages out. At each query
+  // point, windows ending at now, a run of windows that advances and then
+  // goes back, and windows reaching before the history all read the bits
+  // of a linear overlap sum over the same retained intervals.
+  EventLoop loop;
+  CpuCore core(loop);
+  const Duration history = CpuCore::kDefaultHistory;
+  NaiveCore naive{history, {}};
+  Rng rng(31);
+  std::size_t checked = 0;
+  const auto check = [&](TimePoint lo, TimePoint hi) {
+    ++checked;
+    const double want = naive.utilization_between(lo, hi);
+    if (hi == loop.now()) {
+      ASSERT_EQ(core.utilization(hi - lo), want)
+          << "window " << hi - lo << " at now " << loop.now();
+    }
+    ASSERT_EQ(core.utilization_between(lo, hi), want)
+        << "[" << lo << ", " << hi << "], now " << loop.now() << ", "
+        << core.interval_count() << " intervals";
+  };
+  const auto query = [&] {
+    const TimePoint now = loop.now();
+    for (const Duration window :
+         {Duration{1}, rng.uniform_int(1, milliseconds(20)),
+          rng.uniform_int(1, seconds(5)), rng.uniform_int(1, 2 * history)}) {
+      check(now - window, now);
+    }
+    // A window sliding forward to now in random steps, then back.
+    const Duration width = rng.uniform_int(1, seconds(10));
+    TimePoint hi = now - rng.uniform_int(0, history);
+    while (hi < now) {
+      check(hi - width, hi);
+      hi = std::min(now, hi + rng.uniform_int(1, seconds(30)));
+    }
+    for (int i = 0; i < 6; ++i) {
+      hi -= rng.uniform_int(1, seconds(20));
+      check(hi - width, hi);
+    }
+    // Reaching before the history, or before time zero.
+    const TimePoint old = now - history - rng.uniform_int(0, history);
+    check(old, now - rng.uniform_int(0, history));
+    check(old - 3 * history, old + rng.uniform_int(0, 2 * history));
+  };
+  const auto job = [&](TimePoint at, Duration cost) {
+    loop.run_until(at);
+    Duration wait = 0;
+    const TimePoint end = core.execute(cost, nullptr, &wait);
+    naive.record(loop.now(), loop.now() + wait, end);
+  };
+  const auto sparse_until = [&](TimePoint until) {
+    for (int i = 0; loop.now() < until; ++i) {
+      // Mostly an idle gap first (a new interval); otherwise queue behind
+      // the backlog or land right at free_at (coalesced).
+      const double draw = rng.uniform();
+      const TimePoint at =
+          draw < 0.6   ? std::max(loop.now(), core.free_at()) +
+                             rng.uniform_int(1, milliseconds(400))
+          : draw < 0.8 ? std::max(loop.now(), core.free_at())
+                       : loop.now() + rng.uniform_int(0, milliseconds(5));
+      job(at, rng.chance(0.05) ? 0 : rng.uniform_int(1, milliseconds(60)));
+      if (i % 23 == 0) query();
+    }
+  };
+  sparse_until(2 * history + seconds(13));
+  EXPECT_LT(naive.intervals.front().first, loop.now() - history + seconds(1));
+
+  const std::size_t dense = CpuCore::kMaxIntervals + 5000;
+  const TimePoint base = std::max(loop.now(), core.free_at()) + 1;
+  for (std::size_t i = 0; i < dense; ++i) {
+    job(base + static_cast<TimePoint>(i) * microseconds(2), microseconds(1));
+    if (i % 8192 == 0) query();
+  }
+  EXPECT_EQ(core.interval_count(), CpuCore::kMaxIntervals);
+  query();
+
+  sparse_until(loop.now() + history + seconds(40));
+  EXPECT_LT(core.interval_count(), 5000u);
+  query();
+  EXPECT_EQ(core.interval_count(), naive.intervals.size());
+  EXPECT_GT(checked, 5000u);
 }
 
 TEST(CpuCore, PastWindowReadsWhatTheTrailingWindowReadThen) {

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace canal::testutil {
@@ -33,5 +34,14 @@ struct FullSizeFlowTable {
     slots[std::hash<Key>{}(key) & (kSlots - 1)] = {true, key, epoch, value};
   }
 };
+
+/// `prefix` followed by `n`. Appending sidesteps operator+(const char*,
+/// std::string&&), which GCC 12 inlines into a -Wrestrict false positive
+/// (GCC PR 105329).
+inline std::string numbered(const char* prefix, int n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
 
 }  // namespace canal::testutil
